@@ -126,8 +126,8 @@ let timings_arg =
                  longer byte-identical across --jobs values.")
 
 let lang_arg =
-  let lang_conv = Arg.enum [ ("f77", Some `F77); ("c", Some `C) ] in
-  Arg.(value & opt lang_conv None & info [ "lang" ] ~docv:"LANG"
+  let lang_conv = Arg.enum [ ("f77", `F77); ("c", `C) ] in
+  Arg.(value & opt (some lang_conv) None & info [ "lang" ] ~docv:"LANG"
          ~doc:"Input language (default: by file extension).")
 
 let mode_arg =
@@ -395,9 +395,9 @@ let analyze_one ~lang ~mode ~cascade ~budget ~pool ~chunk ~env ~ranges file =
   let prog = prepare ~lang file in
   print_endline (Ast.to_string prog);
   print_newline ();
-  let deps =
-    Analyze.deps_of_program ~mode ?cascade ?budget ?pool ?chunk ~env prog
-  in
+  let accs, env = Dlz_ir.Access.of_program ~env prog in
+  let solved = Analyze.pass ~mode ?cascade ?budget ?pool ?chunk ~env accs in
+  let deps = Analyze.deps_of_solved solved in
   if deps = [] then print_endline "No dependences: fully parallel."
   else
     List.iter
@@ -436,7 +436,7 @@ let analyze_one ~lang ~mode ~cascade ~budget ~pool ~chunk ~env ~ranges file =
          else
            Printf.sprintf " (%d carried dependence(s))"
              l.Dlz_vec.Parallel.lr_carried))
-    (Dlz_vec.Parallel.report ~mode ?cascade ?budget ?pool ?chunk ~env prog)
+    (Dlz_vec.Parallel.of_graph prog (Dlz_vec.Depgraph.of_pairs accs solved))
 
 let analyze_cmd =
   let run file dir lang mode assumes ranges cascade stats stats_json jobs
@@ -601,12 +601,12 @@ let trace_cmd =
             let a = pr.Dlz_engine.Engine.src
             and b = pr.Dlz_engine.Engine.dst in
             let p = pr.Dlz_engine.Engine.problem in
-            List.iter
-              (fun eq ->
+            List.iteri
+              (fun k eq ->
                       incr shown;
                       Printf.printf "=== %s:%s -> %s:%s (dimension %d)\n"
                         a.Access.stmt_name a.Access.array b.Access.stmt_name
-                        b.Access.array !shown;
+                        b.Access.array (k + 1);
                       match Symeq.to_numeric eq with
                       | Some neq ->
                           Format.printf "equation: %a@."

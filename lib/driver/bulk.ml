@@ -3,9 +3,8 @@ module Trace = Dlz_base.Trace
 module Assume = Dlz_symbolic.Assume
 module Access = Dlz_ir.Access
 module Analyze = Dlz_engine.Analyze
-module Engine = Dlz_engine.Engine
 module Stats = Dlz_engine.Stats
-module Verdict = Dlz_deptest.Verdict
+module Depgraph = Dlz_vec.Depgraph
 module Parallel = Dlz_vec.Parallel
 
 let rec walk acc root rel =
@@ -71,11 +70,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let bump counts name =
-  match List.assoc_opt name counts with
-  | Some n -> (name, n + 1) :: List.remove_assoc name counts
-  | None -> (name, 1) :: counts
-
 let analyze_file ~mode ~cascade ~budget ~env root rel =
   let t0 = Trace.now_ns () in
   let finish r = { r with fr_elapsed_ns = Int64.sub (Trace.now_ns ()) t0 } in
@@ -89,22 +83,12 @@ let analyze_file ~mode ~cascade ~budget ~env root rel =
     in
     let prog = Dlz_passes.Pipeline.prepare_program prog in
     let accs, env' = Access.of_program ~env prog in
-    let cascade = Option.value cascade ~default:(Analyze.cascade_of_mode mode) in
     (* Serial on purpose: the pool parallelism is across files, and a
        pool must not be entered from inside one of its own workers. *)
-    let results = Engine.query_all ~cascade ?budget ~env:env' accs in
-    let indep, dep, inap, decided =
-      List.fold_left
-        (fun (i, d, n, by) ((_ : Engine.pair), (r : Dlz_engine.Strategy.result)) ->
-          let by = bump by r.decided_by in
-          match r.verdict with
-          | Verdict.Independent -> (i + 1, d, n, by)
-          | Verdict.Dependent -> (i, d + 1, n, by)
-          | Verdict.Inapplicable -> (i, d, n + 1, by))
-        (0, 0, 0, []) results
-    in
-    let deps = Analyze.deps_of_accesses ~cascade ?budget ~env:env' accs in
-    let loops = Parallel.report ~cascade ?budget ~env prog in
+    let solved = Analyze.pass ~mode ?cascade ?budget ~env:env' accs in
+    let t = Analyze.tally solved in
+    let deps = Analyze.deps_of_solved solved in
+    let loops = Parallel.of_graph prog (Depgraph.of_pairs accs solved) in
     let par = List.length (List.filter (fun l -> l.Parallel.lr_parallel) loops) in
     let stmts =
       List.length
@@ -117,12 +101,12 @@ let analyze_file ~mode ~cascade ~budget ~env root rel =
         fr_error = None;
         fr_statements = stmts;
         fr_accesses = List.length accs;
-        fr_pairs = List.length results;
-        fr_independent = indep;
-        fr_dependent = dep;
-        fr_inapplicable = inap;
+        fr_pairs = List.length solved;
+        fr_independent = t.Analyze.independent;
+        fr_dependent = t.Analyze.dependent;
+        fr_inapplicable = t.Analyze.inapplicable;
         fr_deps = List.length deps;
-        fr_decided_by = List.sort compare decided;
+        fr_decided_by = t.Analyze.decided_by;
         fr_loops_parallel = par;
         fr_loops_serial = List.length loops - par;
         fr_elapsed_ns = 0L;

@@ -6,7 +6,10 @@
     query path — the point being the shared cache: kernels of a family
     raise the same canonical dependence equations, so later files ride
     on earlier files' solves (and on a persisted snapshot, when one was
-    loaded).  Files fan out over the work-stealing pool, one file per
+    loaded).  Each file is one {!Dlz_engine.Analyze.pass}: the verdict
+    counts and [decided_by] census come from the first answers, the
+    deps and loop counts from the settled ones, so a fault-free file
+    costs exactly one query per candidate pair.  Files fan out over the work-stealing pool, one file per
     job; the per-file analysis itself stays serial, so no pool is ever
     entered twice.
 

@@ -99,23 +99,20 @@ let apply_distances dv distances =
       | _ -> ddv)
     (Ddvec.of_dirvec dv) distances
 
-(* The whole per-pair analysis: one engine query, summarization, one
-   dep row per surviving summarized vector (in summary order).  Pure
-   apart from the engine query, which is domain-safe — this is the unit
-   of work [map_pairs] fans out over the pool. *)
-let deps_of_pair ?budget ~cascade ~env (pr : Engine.pair) =
+(* One pair's dep rows from one answer: summarization, one row per
+   surviving summarized vector (in summary order).  Pure. *)
+let deps_of_pair (pr : Engine.pair) (r : Strategy.result) =
   let src = pr.Engine.src and dst = pr.Engine.dst in
-  let r = vectors ~cascade ?budget ~env pr.Engine.problem in
   let self = pr.Engine.self in
   let identity_only =
     self
     && List.for_all
          (fun dv -> Array.for_all (fun d -> d = Dirvec.Eq) dv)
-         r.dirvecs
+         r.Strategy.dirvecs
   in
-  if r.verdict = Verdict.Independent || identity_only then []
+  if r.Strategy.verdict = Verdict.Independent || identity_only then []
   else begin
-    let summaries = summarize ~self r.dirvecs in
+    let summaries = summarize ~self r.Strategy.dirvecs in
     let is_identity dv = Array.for_all (( = ) Dirvec.Eq) dv in
     let summaries =
       if not self then summaries
@@ -141,23 +138,94 @@ let deps_of_pair ?budget ~cascade ~env (pr : Engine.pair) =
           dst;
           kind;
           dirvec = dv;
-          ddvec = apply_distances dv r.distances;
-          via = r.decided_by;
-          degraded = r.degraded;
+          ddvec = apply_distances dv r.Strategy.distances;
+          via = r.Strategy.decided_by;
+          degraded = r.Strategy.degraded;
         })
       summaries
   end
 
-let deps_of_accesses ?mode ?cascade ?budget ?(jobs = 1) ?pool ?chunk ~env accs
-    =
+type solved = {
+  pair : Engine.pair;
+  first : Strategy.result;
+  settled : Strategy.result;
+}
+
+let pass ?mode ?cascade ?budget ?annot ?observer ?on_first ?(jobs = 1) ?pool
+    ?chunk ~env accs =
   let cascade = resolve_cascade ?mode ?cascade () in
   Dlz_base.Trace.with_span ~cat:"driver"
     ~lazy_args:(fun () -> [ ("cascade", cascade.Cascade.name) ])
-    "analyze.accesses"
+    "analyze.pass"
   @@ fun () ->
-  Pool.with_jobs ?pool ~jobs (fun pool ->
-      List.concat
-        (Engine.map_pairs ?pool ?chunk (deps_of_pair ?budget ~cascade ~env) accs))
+  let firsts =
+    Pool.with_jobs ?pool ~jobs (fun pool ->
+        Engine.map_pairs ?pool ?chunk
+          (fun (pr : Engine.pair) ->
+            let r =
+              Engine.query ~cascade ?budget ?annot ?observer ~env
+                pr.Engine.problem
+            in
+            Option.iter (fun f -> f pr r) on_first;
+            (pr, r))
+          accs)
+  in
+  (* The memo cache refuses degraded answers, so a clean answer to the
+     same canonical equation may have been cached by a later pair of
+     this very pass: one cache lookup per degraded pair picks it up.
+     Without one, a re-solve would only re-meet the same deterministic
+     fault (chaos strikes are content-keyed, a spent budget stays
+     spent), so the first answer stands.  A lookup rather than a
+     counted query keeps the query count a function of the pairs even
+     when parallel workers race on a shared key.  Fault-free passes
+     never get here. *)
+  List.map
+    (fun (pair, first) ->
+      let settled =
+        if first.Strategy.degraded = [] then first
+        else
+          Option.value ~default:first
+            (Query.cached ~cascade_name:cascade.Cascade.name
+               pair.Engine.problem)
+      in
+      { pair; first; settled })
+    firsts
+
+let deps_of_solved solved =
+  List.concat_map (fun s -> deps_of_pair s.pair s.settled) solved
+
+type tally = {
+  independent : int;
+  dependent : int;
+  inapplicable : int;
+  decided_by : (string * int) list;
+}
+
+let tally solved =
+  let indep = ref 0 and dep = ref 0 and inap = ref 0 and by = ref [] in
+  List.iter
+    (fun s ->
+      let r = s.first in
+      let name = r.Strategy.decided_by in
+      by :=
+        (match List.assoc_opt name !by with
+        | Some n -> (name, n + 1) :: List.remove_assoc name !by
+        | None -> (name, 1) :: !by);
+      incr
+        (match r.Strategy.verdict with
+        | Verdict.Independent -> indep
+        | Verdict.Dependent -> dep
+        | Verdict.Inapplicable -> inap))
+    solved;
+  {
+    independent = !indep;
+    dependent = !dep;
+    inapplicable = !inap;
+    decided_by = List.sort compare !by;
+  }
+
+let deps_of_accesses ?mode ?cascade ?budget ?jobs ?pool ?chunk ~env accs =
+  deps_of_solved (pass ?mode ?cascade ?budget ?jobs ?pool ?chunk ~env accs)
 
 let deps_of_program ?mode ?cascade ?budget ?jobs ?pool ?chunk
     ?(env = Assume.empty) prog =

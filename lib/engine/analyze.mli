@@ -75,14 +75,72 @@ val summarize : self:bool -> Dirvec.t list -> Dirvec.t list
     decomposition is covered by the set ([self] pairs implicitly cover
     the all-[=] identity vector). *)
 
+val deps_of_pair : Engine.pair -> Strategy.result -> dep list
+(** The dependence rows of one pair given its answer: summarization,
+    then one row per surviving summarized vector.  Pure — input
+    dependences and identity-only self pairs give no rows. *)
+
+(** {2 The per-kernel pass}
+
+    Every per-kernel output — verdict tallies, dependence rows, the
+    vectorizer's dependence graph and the per-loop report — derives
+    from one {!pass}: the candidate pairs are enumerated once, each
+    problem is built once and queried once. *)
+
+type solved = {
+  pair : Engine.pair;
+  first : Strategy.result;
+      (** The pass's one answer — what the verdict tallies and
+          [decided_by] count. *)
+  settled : Strategy.result;
+      (** [first], unless it came back degraded and a clean answer to
+          the same canonical equation was cached later in the pass.
+          Dependence rows and the dependence graph read this one. *)
+}
+
+val pass :
+  ?mode:mode -> ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
+  ?annot:(string * string) list ->
+  ?observer:(Query.disposition -> unit) ->
+  ?on_first:(Engine.pair -> Strategy.result -> unit) ->
+  ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
+  env:Assume.t -> Access.t list -> solved list
+(** [pass ~env accs] queries every candidate pair of [accs] once
+    through {!Engine.map_pairs} and {!Engine.query}, in enumeration
+    order.  [on_first] sees each pair's first answer as soon as it is
+    solved (from a pool worker when one is given); [annot] and
+    [observer] ride on every query, as in {!Engine.query}.
+
+    The memo cache refuses degraded answers, so after the pass each
+    pair whose first answer was degraded gets one {!Query.cached}
+    lookup: a clean answer to the same canonical equation, cached later
+    in the pass, becomes its settled answer.  The lookup counts no
+    query, so queries equal pairs.
+
+    [jobs]/[pool]/[chunk] fan the queries out as in
+    {!deps_of_accesses}; the result is identical for any of them. *)
+
+val deps_of_solved : solved list -> dep list
+(** {!deps_of_pair} over the settled answers, in pass order. *)
+
+type tally = {
+  independent : int;
+  dependent : int;
+  inapplicable : int;
+  decided_by : (string * int) list;  (** Sorted by strategy name. *)
+}
+
+val tally : solved list -> tally
+(** Verdict and provenance counts over the first answers. *)
+
 val deps_of_accesses :
   ?mode:mode -> ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
   ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
   env:Assume.t -> Access.t list -> dep list
 (** All dependences among the given accesses (input dependences and
-    identity-only self pairs are omitted), in source order.  Pair
-    enumeration is {!Engine.map_pairs} — the same path the vectorizer's
-    dependence graph uses.
+    identity-only self pairs are omitted), in source order:
+    {!deps_of_solved} of one {!pass} — the same pass the vectorizer's
+    dependence graph is built from.
 
     [jobs] (default 1) is the number of domains the pair queries fan
     out over; [0] means [Domain.recommended_domain_count ()].  An

@@ -87,8 +87,10 @@ val query_all :
   env:Assume.t ->
   Access.t list ->
   (pair * Strategy.result) list
-(** {!map_pairs} composed with {!query}.  [observer] must be
-    domain-safe when a pool is given — it may fire from any worker. *)
+(** {!map_pairs} composed with {!query}: each pair's one answer.
+    [observer] must be domain-safe when a pool is given — it may fire
+    from any worker.  Per-kernel analysis goes through
+    {!Analyze.pass}, which also settles degraded answers. *)
 
 val reset_metrics : unit -> unit
 (** Clears the global cache and the trace event buffers, then runs

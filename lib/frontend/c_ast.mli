@@ -35,7 +35,10 @@ type step = {
 
 type stmt =
   | Decl of base_type * declarator list
-  | For of { init : (string * expr) option; cond : cond; step : step;
+  | For of { decl : base_type option;
+             (** [Some t] when the init declares the loop variable, C99
+                 style: [for (int i = 0; …)]. *)
+             init : (string * expr) option; cond : cond; step : step;
              body : stmt list }
   | Assign of expr * expr  (** lvalue, rvalue. *)
 

@@ -366,8 +366,15 @@ let rec parse_stmt st =
   | TID "for" ->
       ignore (next st);
       expect st TLP "'('";
+      let decl =
+        match fst (peek st) with
+        | TID ("float" | "int" | "double") as t ->
+            ignore (next st);
+            Some (if t = TID "int" then Int else Float)
+        | _ -> None
+      in
       let init =
-        if fst (peek st) = TSEMI then begin
+        if decl = None && fst (peek st) = TSEMI then begin
           ignore (next st);
           None
         end
@@ -406,7 +413,7 @@ let rec parse_stmt st =
         end
         else [ parse_stmt st ]
       in
-      For { init; cond = { lhs; op; rhs }; step; body }
+      For { decl; init; cond = { lhs; op; rhs }; step; body }
   | _ ->
       let lv = parse_additive st in
       let t, loc = next st in

@@ -193,8 +193,20 @@ let rec lower_stmt env decls (s : C.stmt) : Ast.stmt list =
       | _ ->
           let lhs = lvalue env lv in
           [ Ast.assign lhs (conv_int env rv) ])
-  | C.For { init; cond; step; body } ->
+  | C.For { decl; init; cond; step; body } ->
       let var = step.s_var in
+      (* A C99 loop-scoped declaration declares the variable just as an
+         [int i;] before the loop would — once per name. *)
+      (match (decl, init) with
+      | Some bt, Some (v, _)
+        when not
+               (List.exists
+                  (function Ast.Scalar (_, n) -> String.equal n v | _ -> false)
+                  !decls) ->
+          ignore
+            (lower_stmt env decls
+               (C.Decl (bt, [ { C.d_ptr = false; d_name = v; d_dims = [] } ])))
+      | _ -> ());
       (match cond.lhs with
       | C.EVar v when String.equal v var -> ()
       | _ -> unsupported "loop condition must test the loop variable");

@@ -6,7 +6,7 @@ module Analyze = Dlz_engine.Analyze
 module Engine = Dlz_engine.Engine
 module Stats = Dlz_engine.Stats
 module Cascade = Dlz_engine.Cascade
-module Verdict = Dlz_deptest.Verdict
+module Depgraph = Dlz_vec.Depgraph
 module Parallel = Dlz_vec.Parallel
 
 (* One connection, one [handle] call, on whichever worker domain took
@@ -104,42 +104,38 @@ let run_analyze ctx fd ~rid ~client ~id ~lang ~source ~assume ~budget =
   in
   let accs, env = Access.of_program ~env prog in
   let cascade = Option.value ctx.cascade ~default:Cascade.delin in
-  let indep = ref 0 and dep = ref 0 and inap = ref 0 and pairs = ref 0 in
   (* One annot list and observer closure for the whole request; every
      query span it spawns carries the request id. *)
   let annot = [ ("rid", string_of_int rid); ("client", client) ] in
   let observer = Attrib.record_disposition ctx.attrib ~client in
   (* Streamed: one frame per candidate pair as it is solved, then a
-     summary.  Serial on purpose — the daemon's parallelism is across
-     connections, and a worker must not re-enter a pool. *)
-  Engine.iter_pairs
-    (fun (p : Engine.pair) ->
-      let r = Engine.query ~cascade ~budget ~annot ~observer ~env
-          p.Engine.problem in
-      incr pairs;
-      (match r.Dlz_engine.Strategy.verdict with
-      | Verdict.Independent -> incr indep
-      | Verdict.Dependent -> incr dep
-      | Verdict.Inapplicable -> incr inap);
-      if r.Dlz_engine.Strategy.degraded <> [] then
-        Attrib.record_degraded ctx.attrib ~client;
-      send_ok ctx fd ~rid ~id ~op:"pair"
-        ([
-           ("src", Jsonx.Str p.Engine.src.Access.stmt_name);
-           ("src_array", Jsonx.Str p.Engine.src.Access.array);
-           ("dst", Jsonx.Str p.Engine.dst.Access.stmt_name);
-           ("self", Jsonx.Bool p.Engine.self);
-         ]
-        @ Proto.result_fields r))
-    accs;
-  let loops = Parallel.report ~cascade ~budget ~env prog in
+     summary from the same pass.  Serial on purpose — the daemon's
+     parallelism is across connections, and a worker must not re-enter
+     a pool. *)
+  let on_first (p : Engine.pair) (r : Dlz_engine.Strategy.result) =
+    if r.Dlz_engine.Strategy.degraded <> [] then
+      Attrib.record_degraded ctx.attrib ~client;
+    send_ok ctx fd ~rid ~id ~op:"pair"
+      ([
+         ("src", Jsonx.Str p.Engine.src.Access.stmt_name);
+         ("src_array", Jsonx.Str p.Engine.src.Access.array);
+         ("dst", Jsonx.Str p.Engine.dst.Access.stmt_name);
+         ("self", Jsonx.Bool p.Engine.self);
+       ]
+      @ Proto.result_fields r)
+  in
+  let solved =
+    Analyze.pass ~cascade ~budget ~annot ~observer ~on_first ~env accs
+  in
+  let t = Analyze.tally solved in
+  let loops = Parallel.of_graph prog (Depgraph.of_pairs accs solved) in
   let par = List.length (List.filter (fun l -> l.Parallel.lr_parallel) loops) in
   send_ok ctx fd ~rid ~id ~op:"analyze"
     [
-      ("pairs", Jsonx.Int !pairs);
-      ("independent", Jsonx.Int !indep);
-      ("dependent", Jsonx.Int !dep);
-      ("inapplicable", Jsonx.Int !inap);
+      ("pairs", Jsonx.Int (List.length solved));
+      ("independent", Jsonx.Int t.Analyze.independent);
+      ("dependent", Jsonx.Int t.Analyze.dependent);
+      ("inapplicable", Jsonx.Int t.Analyze.inapplicable);
       ("accesses", Jsonx.Int (List.length accs));
       ("loops_parallel", Jsonx.Int par);
       ("loops_serial", Jsonx.Int (List.length loops - par));

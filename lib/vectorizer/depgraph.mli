@@ -7,9 +7,9 @@
     reads before the write inside one statement).  This is the graph the
     Allen–Kennedy vectorizer consumes.
 
-    Pair enumeration and dependence queries go through the shared
-    {!Dlz_engine.Engine} path — the same pairs, orientation and memoized
-    cascade answers the whole-program analyzer uses. *)
+    The edges are derived from the settled answers of one
+    {!Dlz_engine.Analyze.pass} — the same pairs, orientation and
+    answers the whole-program analyzer's dependence rows come from. *)
 
 module Dirvec = Dlz_deptest.Dirvec
 module Assume = Dlz_symbolic.Assume
@@ -30,6 +30,14 @@ type t = {
   edges : edge list;
 }
 
+val of_pairs : Dlz_ir.Access.t list -> Dlz_engine.Analyze.solved list -> t
+(** [of_pairs accs solved] is the graph of the statements of [accs]
+    with the edges of every pair's settled answer.  Makes no query.
+    Input (read-read) dependences are ignored; a same-statement all-[=]
+    vector (the read feeding the write of one assignment) carries no
+    constraint and is dropped.  The edge list is sorted and
+    deduplicated. *)
+
 val build :
   ?mode:Dlz_engine.Analyze.mode ->
   ?cascade:Dlz_engine.Cascade.t ->
@@ -40,13 +48,11 @@ val build :
   ?env:Assume.t ->
   Dlz_ir.Ast.program ->
   t
-(** Analyzes a normalized program.  Input (read-read) dependences are
-    ignored; a same-statement all-[=] vector (the read feeding the write
-    of one assignment) carries no constraint and is dropped.
-
-    [jobs]/[pool]/[chunk] parallelize the pair queries exactly as in
-    {!Dlz_engine.Analyze.deps_of_accesses}; the edge list is sorted, so
-    the graph is identical for any job count or chunk size. *)
+(** Analyzes a normalized program: {!of_pairs} of one
+    {!Dlz_engine.Analyze.pass} over its accesses.  [jobs]/[pool]/[chunk]
+    parallelize the pair queries exactly as in
+    {!Dlz_engine.Analyze.deps_of_accesses}; the graph is identical for
+    any job count or chunk size. *)
 
 val edges_at_level : t -> int -> edge list
 (** Edges not carried by loops outer than [level]: carrying level

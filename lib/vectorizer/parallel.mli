@@ -15,6 +15,10 @@ type loop_report = {
   lr_carried : int;  (** Dependences carried at this level. *)
 }
 
+val of_graph : Dlz_ir.Ast.program -> Depgraph.t -> loop_report list
+(** One entry per loop of the (normalized) program, in source order,
+    read off the program's dependence graph.  Makes no query. *)
+
 val report :
   ?mode:Dlz_engine.Analyze.mode ->
   ?cascade:Dlz_engine.Cascade.t ->
@@ -25,9 +29,8 @@ val report :
   ?env:Dlz_symbolic.Assume.t ->
   Dlz_ir.Ast.program ->
   loop_report list
-(** One entry per loop of the (normalized) program, in source order.
-    [jobs]/[pool]/[chunk] parallelize the underlying
-    {!Depgraph.build}. *)
+(** {!of_graph} of {!Depgraph.build}.  [jobs]/[pool]/[chunk]
+    parallelize the underlying pass. *)
 
 val fully_parallel : loop_report list -> bool
 (** Every loop parallel (the verdict the corpus ablation counts). *)

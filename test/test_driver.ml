@@ -148,6 +148,107 @@ let experiments_units =
           [ "e1"; "E1"; "e3"; "e4"; "e5"; "e6"; "e7" ]);
   ]
 
+(* --- bulk: one analysis pass per kernel ---------------------------------- *)
+
+module Bulk = Dlz_driver.Bulk
+module Engine = Dlz_engine.Engine
+module Stats = Dlz_engine.Stats
+module Chaos = Dlz_engine.Chaos
+module Analyze = Dlz_engine.Analyze
+module Parallel = Dlz_vec.Parallel
+
+(* [f dir] on a fresh directory, removed (with its files) afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "dlz_bulk_pass" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* These assertions count queries and compare against a fresh engine, so
+   they run fault-free whatever DLZ_CHAOS says. *)
+let fault_free f =
+  let saved = Chaos.current () in
+  Chaos.set_current None;
+  Fun.protect ~finally:(fun () -> Chaos.set_current saved) f
+
+let polybench_dir f =
+  with_temp_dir (fun dir ->
+      Dlz_corpus.Polybench.write_dir dir;
+      f dir)
+
+(* A seeded batch of generated FORTRAN kernels, one file each. *)
+let progen_dir f =
+  with_temp_dir (fun dir ->
+      for seed = 1 to 40 do
+        let prog = Progen.random (Prng.create (Int64.of_int seed)) in
+        let oc =
+          open_out_bin (Filename.concat dir (Printf.sprintf "g%02d.f" seed))
+        in
+        output_string oc (Ast.to_string prog);
+        close_out oc
+      done;
+      f dir)
+
+(* The standalone per-kernel analysis, on a fresh engine: deps count and
+   parallel/serial loop counts. *)
+let standalone dir rel =
+  Engine.reset_metrics ();
+  let path = Filename.concat dir rel in
+  let ic = open_in_bin path in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let prog =
+    Dlz_passes.Pipeline.prepare_program
+      (if Filename.check_suffix rel ".c" then
+         Dlz_passes.Pointers.lower (Dlz_frontend.C_parser.parse src)
+       else
+         Dlz_passes.Inline.expand (Dlz_frontend.F77_parser.parse_units src))
+  in
+  let loops = Parallel.report prog in
+  let par = List.length (List.filter (fun l -> l.Parallel.lr_parallel) loops) in
+  (List.length (Analyze.deps_of_program prog), par, List.length loops - par)
+
+let check_bulk_matches_standalone dir =
+  let frs = Bulk.reports dir in
+  Alcotest.(check bool) "some pairs" true
+    (List.exists (fun (fr : Bulk.file_report) -> fr.fr_pairs > 0) frs);
+  List.iter
+    (fun (fr : Bulk.file_report) ->
+      Alcotest.(check (option string)) (fr.fr_file ^ " ok") None fr.fr_error;
+      let deps, par, ser = standalone dir fr.fr_file in
+      Alcotest.(check (triple int int int))
+        (fr.fr_file ^ " deps, parallel, serial")
+        (deps, par, ser)
+        (fr.fr_deps, fr.fr_loops_parallel, fr.fr_loops_serial))
+    frs
+
+let bulk_pass_units =
+  [
+    Alcotest.test_case "polybench bulk makes one query per pair" `Quick
+      (fun () ->
+        fault_free (fun () ->
+            polybench_dir (fun dir ->
+                Engine.reset_metrics ();
+                let frs = Bulk.reports dir in
+                let pairs =
+                  List.fold_left
+                    (fun n (fr : Bulk.file_report) -> n + fr.fr_pairs)
+                    0 frs
+                in
+                Alcotest.(check int) "pairs" 266 pairs;
+                Alcotest.(check int) "queries = pairs" pairs
+                  (Stats.queries Stats.global))));
+    Alcotest.test_case "bulk agrees with standalone analysis (polybench)"
+      `Quick (fun () ->
+        fault_free (fun () -> polybench_dir check_bulk_matches_standalone));
+    Alcotest.test_case "bulk agrees with standalone analysis (progen)" `Quick
+      (fun () -> fault_free (fun () -> progen_dir check_bulk_matches_standalone));
+  ]
+
 let () =
   Alcotest.run "dlz_driver"
     [
@@ -156,4 +257,5 @@ let () =
       ("workload-props", List.map QCheck_alcotest.to_alcotest workload_props);
       ("dynamic", dynamic_units);
       ("experiments", experiments_units);
+      ("bulk-pass", bulk_pass_units);
     ]

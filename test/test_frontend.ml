@@ -345,6 +345,61 @@ let c_polybench_units =
           | Ast.Assign { lhs; _ } -> subs := List.length lhs.Ast.subs
           | _ -> ());
         Alcotest.(check int) "3 subscripts" 3 !subs);
+    Alcotest.test_case "C99 loop-scoped declarations analyze identically"
+      `Quick (fun () ->
+        (* The same kernel twice: loop variables declared before the
+           nest, and declared in each for-init (C99), [i] twice. *)
+        let declared =
+          "#define N 16\n\
+           double A[N][N];\n\
+           double B[N][N];\n\
+           int i, j;\n\
+           for (i = 1; i < N; i++)\n\
+          \  for (j = 0; j < N - 1; j++)\n\
+          \    A[i][j] = A[i - 1][j + 1] + B[i][j];\n\
+           for (i = 0; i < N; i++)\n\
+          \  B[i][0] = A[i][0];\n"
+        in
+        let scoped =
+          "#define N 16\n\
+           double A[N][N];\n\
+           double B[N][N];\n\
+           for (int i = 1; i < N; i++)\n\
+          \  for (int j = 0; j < N - 1; j++)\n\
+          \    A[i][j] = A[i - 1][j + 1] + B[i][j];\n\
+           for (int i = 0; i < N; i++)\n\
+          \  B[i][0] = A[i][0];\n"
+        in
+        (match C_parser.parse scoped with
+        | [ _; _; C.For { decl = Some C.Int; init = Some ("i", _); _ }; _ ] -> ()
+        | _ -> Alcotest.fail "expected a declaring for-init");
+        let s1 = Format.asprintf "%a" C.pp (C_parser.parse scoped) in
+        Alcotest.(check string) "pp fixpoint" s1
+          (Format.asprintf "%a" C.pp (C_parser.parse s1));
+        let analyze src =
+          let prog =
+            Dlz_passes.Pipeline.prepare_program
+              (Dlz_passes.Pointers.lower (C_parser.parse src))
+          in
+          let deps =
+            List.map
+              (Format.asprintf "%a" Dlz_engine.Analyze.pp_dep)
+              (Dlz_engine.Analyze.deps_of_program prog)
+          in
+          let loops =
+            List.map
+              (fun (l : Dlz_vec.Parallel.loop_report) ->
+                Printf.sprintf "%s@%d:%b:%d" l.lr_var l.lr_level l.lr_parallel
+                  l.lr_carried)
+              (Dlz_vec.Parallel.report prog)
+          in
+          (Ast.to_string prog, deps, loops)
+        in
+        let p1, d1, l1 = analyze declared and p2, d2, l2 = analyze scoped in
+        Alcotest.(check string) "same lowered program" p1 p2;
+        Alcotest.(check bool) "has dependences" true (d1 <> []);
+        Alcotest.(check (list string)) "same dependences" d1 d2;
+        Alcotest.(check (list string)) "same loop report" l1 l2);
     Alcotest.test_case "partial subscripting of a rank-2 array rejected"
       `Quick (fun () ->
         let src = "double A[4][5];\nint i;\nfor (i = 0; i < 4; i++)\n  A[i] = 1.0;\n" in
