@@ -358,6 +358,71 @@ let test_div0_strikes_contained () =
   Alcotest.(check bool)
     "at least one div0 strike degraded, none escaped" true (div0_rows > 0)
 
+(* --- the per-kernel pass: settling degraded answers ------------------------- *)
+
+let polybench_program name =
+  let k =
+    List.find
+      (fun (k : Dlz_corpus.Polybench.kernel) -> k.k_name = name)
+      Dlz_corpus.Polybench.kernels
+  in
+  Pipeline.prepare_program
+    (Dlz_passes.Pointers.lower (Dlz_frontend.C_parser.parse k.k_source))
+
+let test_pass_settles_degraded_pairs () =
+  (* Under 7:0.1, one of adi's pairs meets a fault while a later pair
+     with the same canonical equation solves cleanly and is cached: the
+     pass keeps the degraded answer as the first one (tallies count it)
+     and settles on the clean one (dependence rows read it), without a
+     second counted query. *)
+  with_chaos
+    (Some (Chaos.make ~seed:7L ~rate:0.1))
+    (fun () ->
+      Engine.reset_metrics ();
+      let accs, env = Access.of_program (polybench_program "adi") in
+      let solved = Analyze.pass ~env accs in
+      Alcotest.(check int) "queries = pairs" (List.length solved)
+        (Stats.queries Stats.global);
+      let settled_by_cache =
+        List.filter
+          (fun (s : Analyze.solved) ->
+            s.first.Strategy.degraded <> [] && s.settled != s.first)
+          solved
+      in
+      Alcotest.(check bool) "some degraded pair settles" true
+        (settled_by_cache <> []);
+      List.iter
+        (fun (s : Analyze.solved) ->
+          Alcotest.(check bool) "settled answer is clean" true
+            (s.settled.Strategy.degraded = []);
+          Alcotest.(check bool) "settled answer is the cached one" true
+            (Query.cached ~cascade_name:Cascade.delin.Cascade.name
+               s.pair.Engine.problem
+            = Some s.settled))
+        settled_by_cache;
+      List.iter
+        (fun (s : Analyze.solved) ->
+          if s.first.Strategy.degraded = [] then
+            Alcotest.(check bool) "a clean first answer stands" true
+              (s.settled == s.first))
+        solved)
+
+let test_cached_refuses_symbolic () =
+  Engine.reset_metrics ();
+  let ps, env = problems_of_prog (prepare Fragments.symbolic_program) in
+  let symbolic =
+    List.filter
+      (fun p -> Option.is_none (Dlz_deptest.Problem.to_numeric p))
+      ps
+  in
+  Alcotest.(check bool) "some symbolic problem" true (symbolic <> []);
+  List.iter
+    (fun p ->
+      ignore (Engine.query ~env p);
+      Alcotest.(check bool) "no cached answer" true
+        (Query.cached ~cascade_name:Cascade.delin.Cascade.name p = None))
+    symbolic
+
 let () =
   Alcotest.run "chaos"
     [
@@ -389,6 +454,13 @@ let () =
             test_chaos_verdicts_only_degrade;
           Alcotest.test_case "jobs N = jobs 1 under injection" `Quick
             test_chaos_parallel_equals_serial;
+        ] );
+      ( "pass",
+        [
+          Alcotest.test_case "degraded pairs settle on a cached answer"
+            `Quick test_pass_settles_degraded_pairs;
+          Alcotest.test_case "symbolic problems are never cached" `Quick
+            test_cached_refuses_symbolic;
         ] );
       ( "accounting",
         [
