@@ -341,8 +341,9 @@ let engine_report () =
 
 (* Whole-program analysis throughput as a function of the domain count:
    the corpus + workload-generator programs are analyzed end-to-end at
-   jobs ∈ {1, 2, 4, 8}, reusing one pool per job count.  Each run
-   reports wall-clock, queries/sec, speedup vs the serial run, and the
+   jobs ∈ {1, 2, 4, 8}, one program per pool element (the file-level
+   parallelism of [vic analyze --dir]), reusing one pool per job count.
+   Each run reports wall-clock, queries/sec, speedup vs the serial run, and the
    cache hit ratio (the sharded cache is shared by all domains, so the
    ratio should hold steady as jobs grow). *)
 let parallel_job_counts = [ 1; 2; 4; 8 ]
@@ -373,7 +374,7 @@ type parallel_run = {
 }
 
 let parallel_report () =
-  let progs = parallel_workload () in
+  let progs = Array.of_list (parallel_workload ()) in
   let reps = 10 in
   let measure jobs =
     Dlz_engine.Engine.reset_metrics ();
@@ -384,11 +385,14 @@ let parallel_report () =
        reports across process boundaries. *)
     let cold, elapsed =
       Dlz_base.Pool.with_pool ~domains:jobs (fun pool ->
+          let analyze_all () =
+            ignore (Dlz_base.Pool.map pool An.deps_of_program progs)
+          in
           let t0 = now_s () in
-          List.iter (fun p -> ignore (An.deps_of_program ~pool p)) progs;
+          analyze_all ();
           let cold = now_s () -. t0 in
           for _ = 2 to reps do
-            List.iter (fun p -> ignore (An.deps_of_program ~pool p)) progs
+            analyze_all ()
           done;
           (cold, now_s () -. t0))
     in
@@ -446,7 +450,7 @@ let parallel_report () =
     Printf.sprintf
       "{\"workload\":\"corpus+paper-family\",%s,\"programs\":%d,\"reps\":%d,\
        \"runs\":[%s]}"
-      host_json (List.length progs) reps
+      host_json (Array.length progs) reps
       (String.concat ","
          (List.map
             (fun r ->
@@ -1212,7 +1216,8 @@ let oracle_report () =
 (* --- perf smoke gate (@perf-ci) ------------------------------------------- *)
 
 (* A CI-sized slice of the parallel sweep: the reduced workload analyzed
-   end-to-end at jobs=1 and jobs=4, best of two trials each.  On a
+   end-to-end at jobs=1 and jobs=4, one program per pool element, best
+   of two trials each.  On a
    multi-core host the gate fails when jobs=4 regresses below jobs=1
    (with 10% noise headroom) — the scheduler must never make parallel
    analysis slower than serial.  On a single-core host the comparison
@@ -1220,8 +1225,8 @@ let oracle_report () =
    and passes with a note. *)
 let perf_smoke () =
   let progs =
-    [ family_prog ~depth:2 ~extent:10; family_prog ~depth:3 ~extent:10;
-      fig3_prog; mhl_prog; ib_prog ]
+    [| family_prog ~depth:2 ~extent:10; family_prog ~depth:3 ~extent:10;
+       fig3_prog; mhl_prog; ib_prog |]
   in
   let reps = 3 in
   let measure jobs =
@@ -1229,7 +1234,7 @@ let perf_smoke () =
     Dlz_base.Pool.with_pool ~domains:jobs (fun pool ->
         let t0 = now_s () in
         for _ = 1 to reps do
-          List.iter (fun p -> ignore (An.deps_of_program ~pool p)) progs
+          ignore (Dlz_base.Pool.map pool An.deps_of_program progs)
         done;
         now_s () -. t0)
   in

@@ -82,7 +82,7 @@ let dir_arg =
                  (recursively, sorted by path) through one shared memo\n\
                  cache, and print one NDJSON line per kernel plus a\n\
                  summary line.  The default fields are deterministic:\n\
-                 the report is byte-identical for any --jobs N.")
+                 a fault-free report is byte-identical for any --jobs N.")
 
 let cache_load_arg =
   Arg.(value & opt (some string) None
@@ -225,8 +225,8 @@ let trace_out_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
            ~doc:"Record a structured execution trace (spans for every\n\
-                 query, strategy attempt, parse/normalize phase and\n\
-                 pool chunk, one track per domain) and write it to\n\
+                 query, strategy attempt and parse/normalize phase,\n\
+                 one track per domain) and write it to\n\
                  FILE in the Chrome trace_event JSON format — open it\n\
                  in chrome://tracing or https://ui.perfetto.dev.")
 
@@ -355,9 +355,11 @@ let write_trace trace_out =
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Answer dependence queries on N domains in parallel\n\
-                 (default 1 = serial; 0 = the recommended domain count\n\
-                 for this machine).  Output is identical for any N.")
+           ~doc:"With analyze --dir, analyze N files at once; with\n\
+                 fuzz, check N cases at once (default 1 = serial; 0 =\n\
+                 the recommended domain count for this machine).  One\n\
+                 file's pairs are always analyzed serially.  A\n\
+                 fault-free report is identical for any N.")
 
 let check_jobs jobs =
   if jobs < 0 then begin
@@ -365,19 +367,6 @@ let check_jobs jobs =
     exit 1
   end;
   jobs
-
-let chunk_arg =
-  Arg.(value & opt (some int) None
-       & info [ "chunk" ] ~docv:"K"
-           ~doc:"Queries per work-stealing deal (default: auto-tuned\n\
-                 from observed per-query cost and queue-wait telemetry).\n\
-                 Output is identical for any K.")
-
-let check_chunk = function
-  | Some k when k <= 0 ->
-      prerr_endline "--chunk: expected a positive candidate count";
-      exit 1
-  | c -> c
 
 let env_of assumes =
   List.fold_left (fun env (s, b) -> Assume.assume_ge s b env) Assume.empty
@@ -391,12 +380,12 @@ let ranges_arg =
            ~doc:"Also print Wolf-Lam range vectors (exact per-level\n\
                  delta ranges) for each dependence [WL91].")
 
-let analyze_one ~lang ~mode ~cascade ~budget ~pool ~chunk ~env ~ranges file =
+let analyze_one ~lang ~mode ~cascade ~budget ~env ~ranges file =
   let prog = prepare ~lang file in
   print_endline (Ast.to_string prog);
   print_newline ();
   let accs, env = Dlz_ir.Access.of_program ~env prog in
-  let solved = Analyze.pass ~mode ?cascade ?budget ?pool ?chunk ~env accs in
+  let solved = Analyze.pass ~mode ?cascade ?budget ~env accs in
   let deps = Analyze.deps_of_solved solved in
   if deps = [] then print_endline "No dependences: fully parallel."
   else
@@ -440,11 +429,10 @@ let analyze_one ~lang ~mode ~cascade ~budget ~pool ~chunk ~env ~ranges file =
 
 let analyze_cmd =
   let run file dir lang mode assumes ranges cascade stats stats_json jobs
-      chunk fuel timeout_ms chaos cache_load cache_save cache_auto timings
+      fuel timeout_ms chaos cache_load cache_save cache_auto timings
       trace_out trace_sample trace_mask sort =
     with_diagnostics (fun () ->
         let jobs = check_jobs jobs in
-        let chunk = check_chunk chunk in
         let cascade = cascade_of cascade in
         set_chaos chaos;
         setup_telemetry ?trace_mask ~stats:(stats || stats_json) ~trace_out
@@ -462,44 +450,41 @@ let analyze_cmd =
           | None -> if cache_auto then Some (Persist.default_path ()) else None
         in
         Dlz_engine.Engine.reset_metrics ();
-        Dlz_base.Pool.with_jobs ~jobs (fun pool ->
-            (match load_path with
-            | None -> ()
-            | Some p -> (
-                match Persist.load ?pool p with
-                | Ok _ -> ()
-                | Error reason ->
-                    (* An explicit --cache-load that fails deserves a
-                       word; the quiet path is --cache-auto before any
-                       snapshot exists.  Either way the run proceeds
-                       cold (the refusal is counted in --stats). *)
-                    if cache_load <> None then
-                      Printf.eprintf
-                        "warning: snapshot %s: %s; starting cold\n%!" p
-                        reason));
-            let env = env_of assumes in
-            (match (dir, file) with
-            | Some d, None ->
+        (match load_path with
+        | None -> ()
+        | Some p -> (
+            match Persist.load p with
+            | Ok _ -> ()
+            | Error reason ->
+                (* An explicit --cache-load that fails deserves a word;
+                   the quiet path is --cache-auto before any snapshot
+                   exists.  Either way the run proceeds cold (the
+                   refusal is counted in --stats). *)
+                if cache_load <> None then
+                  Printf.eprintf "warning: snapshot %s: %s; starting cold\n%!"
+                    p reason));
+        let env = env_of assumes in
+        (match (dir, file) with
+        | Some d, None ->
+            Dlz_base.Pool.with_jobs ~jobs (fun pool ->
                 List.iter print_endline
                   (Dlz_driver.Bulk.run ~mode ?cascade ?budget ?pool ~env
-                     ~timings d)
-            | None, Some file ->
-                analyze_one ~lang ~mode ~cascade ~budget ~pool ~chunk ~env
-                  ~ranges file
-            | Some _, Some _ ->
-                prerr_endline "analyze: FILE and --dir are mutually exclusive";
-                exit 1
-            | None, None ->
-                prerr_endline "analyze: expected FILE or --dir";
-                exit 1);
-            match save_path with
-            | None -> ()
-            | Some p -> (
-                match Persist.save p with
-                | Ok _ -> ()
-                | Error reason ->
-                    Printf.eprintf "warning: snapshot save %s: %s\n%!" p
-                      reason));
+                     ~timings d))
+        | None, Some file ->
+            analyze_one ~lang ~mode ~cascade ~budget ~env ~ranges file
+        | Some _, Some _ ->
+            prerr_endline "analyze: FILE and --dir are mutually exclusive";
+            exit 1
+        | None, None ->
+            prerr_endline "analyze: expected FILE or --dir";
+            exit 1);
+        (match save_path with
+        | None -> ()
+        | Some p -> (
+            match Persist.save p with
+            | Ok _ -> ()
+            | Error reason ->
+                Printf.eprintf "warning: snapshot save %s: %s\n%!" p reason));
         if stats then begin
           print_newline ();
           Format.printf "%a@."
@@ -535,7 +520,7 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Normalize a program and report its dependences.")
     Term.(const run $ file_opt_arg $ dir_arg $ lang_arg $ mode_arg
           $ assume_arg $ ranges_arg $ cascade_arg $ stats_arg $ stats_json_arg
-          $ jobs_arg $ chunk_arg $ fuel_arg $ timeout_arg $ chaos_arg
+          $ jobs_arg $ fuel_arg $ timeout_arg $ chaos_arg
           $ cache_load_arg $ cache_save_arg $ cache_auto_arg $ timings_arg
           $ trace_out_arg $ trace_sample_arg $ trace_mask_arg $ sort_arg)
 
@@ -686,17 +671,14 @@ let graph_cmd =
     Arg.(value & flag
          & info [ "dot" ] ~doc:"Emit Graphviz DOT instead of plain text.")
   in
-  let run file lang mode assumes dot jobs chunk =
+  let run file lang mode assumes dot =
     with_diagnostics (fun () ->
-        let jobs = check_jobs jobs in
-        let chunk = check_chunk chunk in
         (* Same scoping discipline as analyze: metrics cover exactly
            this invocation's work. *)
         Dlz_engine.Engine.reset_metrics ();
         let prog = prepare ~lang file in
         let g =
-          Dlz_vec.Depgraph.build ~mode ~jobs ?chunk ~env:(env_of assumes)
-            prog
+          Dlz_vec.Depgraph.build ~mode ~env:(env_of assumes) prog
         in
         if not dot then Format.printf "%a@." Dlz_vec.Depgraph.pp g
         else begin
@@ -721,18 +703,15 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph"
        ~doc:"Print the statement dependence graph (optionally as DOT).")
-    Term.(const run $ file_arg $ lang_arg $ mode_arg $ assume_arg $ dot_arg
-          $ jobs_arg $ chunk_arg)
+    Term.(const run $ file_arg $ lang_arg $ mode_arg $ assume_arg $ dot_arg)
 
 let experiments_cmd =
   let id_arg =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"ID"
            ~doc:"Experiment id (e1..e8); all when omitted.")
   in
-  let run id jobs chunk =
+  let run id =
     with_diagnostics (fun () ->
-        let jobs = check_jobs jobs in
-        let chunk = check_chunk chunk in
         (* Same scoping discipline as analyze: metrics cover exactly
            this invocation's work. *)
         Dlz_engine.Engine.reset_metrics ();
@@ -742,9 +721,9 @@ let experiments_cmd =
               (fun (_, report) ->
                 print_endline report;
                 print_newline ())
-              (Experiments.all ~jobs ?chunk ())
+              (Experiments.all ())
         | Some id -> (
-            match Experiments.run ~jobs ?chunk id with
+            match Experiments.run id with
             | Some report -> print_endline report
             | None ->
                 prerr_endline ("unknown experiment: " ^ id);
@@ -753,7 +732,7 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's tables and figures (E1-E8).")
-    Term.(const run $ id_arg $ jobs_arg $ chunk_arg)
+    Term.(const run $ id_arg)
 
 let corpus_cmd =
   let dump_arg =
@@ -870,7 +849,7 @@ let fuzz_cmd =
                       problem = Dlz_deptest.Problem.synthetic np;
                       ground = np; env = Assume.empty } ]
               | Error msg ->
-                  prerr_endline ("--replay: " ^ msg);
+                  Printf.eprintf "--replay %s: %s\n" path msg;
                   exit 1)
           | None ->
               Eqgen.all ~seed ~count

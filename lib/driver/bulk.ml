@@ -83,8 +83,7 @@ let analyze_file ~mode ~cascade ~budget ~env root rel =
     in
     let prog = Dlz_passes.Pipeline.prepare_program prog in
     let accs, env' = Access.of_program ~env prog in
-    (* Serial on purpose: the pool parallelism is across files, and a
-       pool must not be entered from inside one of its own workers. *)
+    (* Serial on purpose: the pool parallelism is across files. *)
     let solved = Analyze.pass ~mode ?cascade ?budget ~env:env' accs in
     let t = Analyze.tally solved in
     let deps = Analyze.deps_of_solved solved in
@@ -220,9 +219,7 @@ let reports ?(mode = Analyze.Delinearize) ?cascade ?budget ?pool ?env dir =
   let worker rel = analyze_file ~mode ~cascade ~budget ~env dir rel in
   let reports =
     match pool with
-    (* One file is one unit of steal: file costs vary wildly, so any
-       grouping would serialize the tail. *)
-    | Some p -> Pool.map p ~chunk:1 worker files
+    | Some p -> Pool.map p worker files
     | None -> Array.map worker files
   in
   Array.to_list reports

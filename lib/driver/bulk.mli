@@ -9,14 +9,16 @@
     loaded).  Each file is one {!Dlz_engine.Analyze.pass}: the verdict
     counts and [decided_by] census come from the first answers, the
     deps and loop counts from the settled ones, so a fault-free file
-    costs exactly one query per candidate pair.  Files fan out over the work-stealing pool, one file per
-    job; the per-file analysis itself stays serial, so no pool is ever
-    entered twice.
+    costs exactly one query per candidate pair.  Files fan out over
+    the shared-queue {!Dlz_base.Pool}, one file per element; the
+    per-file analysis itself stays serial.
 
     The report is one NDJSON line per kernel (sorted by relative path)
     plus a closing summary line, and its default fields are chosen to
-    be {e deterministic}: byte-identical for any [--jobs N], which is
-    the property the test suite pins.  Per-file latency and the cache
+    be {e deterministic}: byte-identical for any [--jobs N] on a
+    fault-free run, which is the property the test suite pins (under
+    fault injection files race on the shared cache; see
+    {!Dlz_base.Pool}).  Per-file latency and the cache
     warm/cold disposition are genuinely scheduling-dependent (two
     domains can race to first-solve the same canonical form), so those
     fields only appear under [~timings:true] ([--timings]), which
@@ -73,7 +75,7 @@ val run :
   string list
 (** [run dir] analyzes every kernel under [dir] and returns the NDJSON
     report lines: one per kernel in sorted order, then the summary.
-    With [pool] the files are analyzed in parallel (chunk size 1 — one
-    file is one unit of steal).  Each file gets a ["bulk.file"] trace
+    With [pool] the files are analyzed in parallel, one file per pool
+    element.  Each file gets a ["bulk.file"] trace
     span.  [timings] adds the [elapsed_ns] and summary [cache] fields
     described above. *)

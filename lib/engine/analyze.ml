@@ -6,7 +6,6 @@ module Dirvec = Dlz_deptest.Dirvec
 module Ddvec = Dlz_deptest.Ddvec
 module Problem = Dlz_deptest.Problem
 module Classify = Dlz_deptest.Classify
-module Pool = Dlz_base.Pool
 
 type pair_result = {
   verdict : Verdict.t;
@@ -151,24 +150,21 @@ type solved = {
   settled : Strategy.result;
 }
 
-let pass ?mode ?cascade ?budget ?annot ?observer ?on_first ?(jobs = 1) ?pool
-    ?chunk ~env accs =
+let pass ?mode ?cascade ?budget ?annot ?observer ?on_first ~env accs =
   let cascade = resolve_cascade ?mode ?cascade () in
   Dlz_base.Trace.with_span ~cat:"driver"
     ~lazy_args:(fun () -> [ ("cascade", cascade.Cascade.name) ])
     "analyze.pass"
   @@ fun () ->
   let firsts =
-    Pool.with_jobs ?pool ~jobs (fun pool ->
-        Engine.map_pairs ?pool ?chunk
-          (fun (pr : Engine.pair) ->
-            let r =
-              Engine.query ~cascade ?budget ?annot ?observer ~env
-                pr.Engine.problem
-            in
-            Option.iter (fun f -> f pr r) on_first;
-            (pr, r))
-          accs)
+    Engine.map_pairs
+      (fun (pr : Engine.pair) ->
+        let r =
+          Engine.query ~cascade ?budget ?annot ?observer ~env pr.Engine.problem
+        in
+        Option.iter (fun f -> f pr r) on_first;
+        (pr, r))
+      accs
   in
   (* The memo cache refuses degraded answers, so a clean answer to the
      same canonical equation may have been cached by a later pair of
@@ -176,9 +172,8 @@ let pass ?mode ?cascade ?budget ?annot ?observer ?on_first ?(jobs = 1) ?pool
      Without one, a re-solve would only re-meet the same deterministic
      fault (chaos strikes are content-keyed, a spent budget stays
      spent), so the first answer stands.  A lookup rather than a
-     counted query keeps the query count a function of the pairs even
-     when parallel workers race on a shared key.  Fault-free passes
-     never get here. *)
+     counted query keeps the query count a function of the pairs.
+     Fault-free passes never get here. *)
   List.map
     (fun (pair, first) ->
       let settled =
@@ -224,13 +219,12 @@ let tally solved =
     decided_by = List.sort compare !by;
   }
 
-let deps_of_accesses ?mode ?cascade ?budget ?jobs ?pool ?chunk ~env accs =
-  deps_of_solved (pass ?mode ?cascade ?budget ?jobs ?pool ?chunk ~env accs)
+let deps_of_accesses ?mode ?cascade ?budget ~env accs =
+  deps_of_solved (pass ?mode ?cascade ?budget ~env accs)
 
-let deps_of_program ?mode ?cascade ?budget ?jobs ?pool ?chunk
-    ?(env = Assume.empty) prog =
+let deps_of_program ?mode ?cascade ?budget ?(env = Assume.empty) prog =
   let accs, env = Access.of_program ~env prog in
-  deps_of_accesses ?mode ?cascade ?budget ?jobs ?pool ?chunk ~env accs
+  deps_of_accesses ?mode ?cascade ?budget ~env accs
 
 let pp_dep ppf d =
   Format.fprintf ppf "%s:%s -> %s:%s  %s  %s  [%s]" d.src.Access.stmt_name

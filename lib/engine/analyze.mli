@@ -103,22 +103,18 @@ val pass :
   ?annot:(string * string) list ->
   ?observer:(Query.disposition -> unit) ->
   ?on_first:(Engine.pair -> Strategy.result -> unit) ->
-  ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
   env:Assume.t -> Access.t list -> solved list
 (** [pass ~env accs] queries every candidate pair of [accs] once
     through {!Engine.map_pairs} and {!Engine.query}, in enumeration
     order.  [on_first] sees each pair's first answer as soon as it is
-    solved (from a pool worker when one is given); [annot] and
-    [observer] ride on every query, as in {!Engine.query}.
+    solved; [annot] and [observer] ride on every query, as in
+    {!Engine.query}.
 
     The memo cache refuses degraded answers, so after the pass each
     pair whose first answer was degraded gets one {!Query.cached}
     lookup: a clean answer to the same canonical equation, cached later
     in the pass, becomes its settled answer.  The lookup counts no
-    query, so queries equal pairs.
-
-    [jobs]/[pool]/[chunk] fan the queries out as in
-    {!deps_of_accesses}; the result is identical for any of them. *)
+    query, so queries equal pairs. *)
 
 val deps_of_solved : solved list -> dep list
 (** {!deps_of_pair} over the settled answers, in pass order. *)
@@ -135,23 +131,14 @@ val tally : solved list -> tally
 
 val deps_of_accesses :
   ?mode:mode -> ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
-  ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
   env:Assume.t -> Access.t list -> dep list
 (** All dependences among the given accesses (input dependences and
     identity-only self pairs are omitted), in source order:
     {!deps_of_solved} of one {!pass} — the same pass the vectorizer's
-    dependence graph is built from.
-
-    [jobs] (default 1) is the number of domains the pair queries fan
-    out over; [0] means [Domain.recommended_domain_count ()].  An
-    explicit [pool] takes precedence and is not shut down.  [chunk]
-    overrides the auto-tuned candidates-per-chunk deal size.  The
-    output is deterministic: for any job count and chunk size it is
-    identical to the serial result. *)
+    dependence graph is built from. *)
 
 val deps_of_program :
   ?mode:mode -> ?cascade:Cascade.t -> ?budget:Dlz_base.Budget.t ->
-  ?jobs:int -> ?pool:Dlz_base.Pool.t -> ?chunk:int ->
   ?env:Assume.t -> Dlz_ir.Ast.program -> dep list
 (** Extracts accesses (the program must be normalized) and analyzes
     them. *)

@@ -1,7 +1,6 @@
 module Assume = Dlz_symbolic.Assume
 module Access = Dlz_ir.Access
 module Problem = Dlz_deptest.Problem
-module Pool = Dlz_base.Pool
 
 type pair = {
   src : Access.t;
@@ -18,81 +17,33 @@ let orient a b =
   | _, `Write -> (b, a)
   | _ -> (a, b)
 
-(* The cheap screen: at least one write, same array.  Problem
-   construction (the expensive part) happens only for survivors. *)
-let candidate arr i j =
-  let a = arr.(i) and b = arr.(j) in
-  (a.Access.rw = `Write || b.Access.rw = `Write)
-  && String.equal a.Access.array b.Access.array
-
-let pair_at arr i j =
-  let a = arr.(i) and b = arr.(j) in
-  let src, dst = orient a b in
-  match Problem.of_accesses src dst with
-  | None -> None
-  | Some problem ->
-      Some { src; dst; self = src.Access.acc_id = dst.Access.acc_id; problem }
-
 let iter_pairs f accs =
   let arr = Array.of_list accs in
   let n = Array.length arr in
   for i = 0 to n - 1 do
     for j = i to n - 1 do
-      if candidate arr i j then
-        match pair_at arr i j with Some pr -> f pr | None -> ()
+      let a = arr.(i) and b = arr.(j) in
+      (* The cheap screen: at least one write, same array.  Problem
+         construction (the expensive part) happens only for survivors. *)
+      if
+        (a.Access.rw = `Write || b.Access.rw = `Write)
+        && String.equal a.Access.array b.Access.array
+      then
+        let src, dst = orient a b in
+        match Problem.of_accesses src dst with
+        | Some problem ->
+            let self = src.Access.acc_id = dst.Access.acc_id in
+            f { src; dst; self; problem }
+        | None -> ()
     done
   done
 
-let pairs_seq accs =
-  let arr = Array.of_list accs in
-  let n = Array.length arr in
-  let rec from i j () =
-    if i >= n then Seq.Nil
-    else if j >= n then from (i + 1) (i + 1) ()
-    else
-      let rest = from i (j + 1) in
-      if candidate arr i j then
-        match pair_at arr i j with
-        | Some pr -> Seq.Cons (pr, rest)
-        | None -> rest ()
-      else rest ()
-  in
-  from 0 0
-
-let pairs accs = List.of_seq (pairs_seq accs)
-
-(* Candidate (i, j) index pairs, in enumeration order.  Two ints per
-   candidate — the O(n²) set is never materialized as pairs (closures +
-   problems); those are built per chunk, inside the workers. *)
-let candidate_indices arr =
-  let n = Array.length arr in
+let map_pairs f accs =
   let out = ref [] in
-  for i = n - 1 downto 0 do
-    for j = n - 1 downto i do
-      if candidate arr i j then out := (i, j) :: !out
-    done
-  done;
-  Array.of_list !out
+  iter_pairs (fun pr -> out := f pr :: !out) accs;
+  List.rev !out
 
-let map_pairs ?pool ?chunk f accs =
-  let sequential () =
-    let out = ref [] in
-    iter_pairs (fun pr -> out := f pr :: !out) accs;
-    List.rev !out
-  in
-  match pool with
-  | None -> sequential ()
-  | Some pool when Pool.domains pool <= 1 -> sequential ()
-  | Some pool ->
-      let arr = Array.of_list accs in
-      let cands = candidate_indices arr in
-      (* Results land by candidate index: output order is enumeration
-         order regardless of which domain ran (or stole) which chunk. *)
-      Pool.map pool ?chunk
-        (fun (i, j) -> Option.map f (pair_at arr i j))
-        cands
-      |> Array.to_list
-      |> List.filter_map Fun.id
+let pairs accs = map_pairs Fun.id accs
 
 let query ?(cascade = Cascade.delin) ?stats ?cache ?budget ?chaos ?annot
     ?observer ~env p =
@@ -101,18 +52,18 @@ let query ?(cascade = Cascade.delin) ?stats ?cache ?budget ?chaos ?annot
     (fun ~env p -> Cascade.run ?stats ?budget ?chaos ~env cascade p)
     p
 
-let query_all ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ?pool
-    ?chunk ~env accs =
-  map_pairs ?pool ?chunk
+let query_all ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ~env
+    accs =
+  map_pairs
     (fun pr ->
       (pr, query ?cascade ?stats ?cache ?budget ?chaos ?annot ?observer ~env
              pr.problem))
     accs
 
 (* Everything the obs registry knows how to reset — engine counters,
-   pool telemetry, trace histograms, and any serve-side collectors a
-   live daemon registered — plus the two stores the registry does not
-   own: the memo cache and the event rings. *)
+   trace histograms, and any serve-side collectors a live daemon
+   registered — plus the two stores the registry does not own: the
+   memo cache and the event rings. *)
 let reset_metrics () =
   Query.clear Query.global_cache;
   Dlz_base.Trace.clear ();

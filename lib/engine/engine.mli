@@ -2,20 +2,18 @@
 
     Every consumer — the whole-program analyzer, the vectorizer's
     dependence graph, the CLI, the bench harness — asks its dependence
-    questions through this one path: {!iter_pairs} / {!pairs_seq}
-    stream the candidate access pairs (write involvement, same array,
-    source = the writing reference with textual order breaking ties),
-    {!map_pairs} fans a per-pair computation out over an optional
-    domain {!Dlz_base.Pool} with deterministic output ordering, and
-    {!query} answers one problem through a strategy {!Cascade} behind
-    the sharded canonical-form memo cache.  This replaces the two
+    questions through this one path: {!iter_pairs} streams the
+    candidate access pairs (write involvement, same array, source = the
+    writing reference with textual order breaking ties), {!map_pairs}
+    collects a per-pair computation in enumeration order, and {!query}
+    answers one problem through a strategy {!Cascade} behind the
+    sharded canonical-form memo cache.  This replaces the two
     formerly independent O(n²) pair loops (analyzer and depgraph),
     whose source/sink orientation had drifted apart. *)
 
 module Assume = Dlz_symbolic.Assume
 module Access = Dlz_ir.Access
 module Problem = Dlz_deptest.Problem
-module Pool = Dlz_base.Pool
 
 type pair = {
   src : Access.t;  (** The writing reference when one exists. *)
@@ -32,27 +30,14 @@ val iter_pairs : (pair -> unit) -> Access.t list -> unit
     Only one pair is live at a time — the O(n²) candidate set is never
     materialized. *)
 
-val pairs_seq : Access.t list -> pair Seq.t
-(** The same enumeration as an on-demand sequence (pairs and their
-    problems are built as the sequence is forced). *)
+val map_pairs : (pair -> 'r) -> Access.t list -> 'r list
+(** [map_pairs f accs] is [f] applied to every candidate pair, results
+    in enumeration order (the order of {!iter_pairs}).  One kernel's
+    pairs are analyzed serially: a single dependence equation is far
+    too small a job to hand to another domain. *)
 
 val pairs : Access.t list -> pair list
-(** [List.of_seq (pairs_seq accs)] — compatibility wrapper for callers
-    that want the materialized list. *)
-
-val map_pairs :
-  ?pool:Pool.t -> ?chunk:int -> (pair -> 'r) -> Access.t list -> 'r list
-(** [map_pairs f accs] is [f] applied to every candidate pair, results
-    in enumeration order.  Without a pool (or with a sequential one)
-    this runs exactly like {!iter_pairs}.  With a parallel pool, the
-    candidate {e index} pairs (two ints each — never the problems) are
-    partitioned into chunks ([chunk] candidates each; auto-tuned from
-    the pool's observed per-element cost and queue-wait telemetry when
-    omitted), dealt to the pool's work-stealing deques (problem
-    construction and [f] both run in the workers), and merged back by
-    index, so the result is byte-identical to the sequential one for
-    any job count, chunk size, or steal schedule.  [f] must be
-    domain-safe; the {!query} path (sharded cache, atomic stats) is. *)
+(** [map_pairs Fun.id] — the materialized candidate list. *)
 
 val query :
   ?cascade:Cascade.t ->
@@ -82,21 +67,18 @@ val query_all :
   ?chaos:Chaos.t ->
   ?annot:(string * string) list ->
   ?observer:(Query.disposition -> unit) ->
-  ?pool:Pool.t ->
-  ?chunk:int ->
   env:Assume.t ->
   Access.t list ->
   (pair * Strategy.result) list
 (** {!map_pairs} composed with {!query}: each pair's one answer.
-    [observer] must be domain-safe when a pool is given — it may fire
-    from any worker.  Per-kernel analysis goes through
-    {!Analyze.pass}, which also settles degraded answers. *)
+    Per-kernel analysis goes through {!Analyze.pass}, which also
+    settles degraded answers. *)
 
 val reset_metrics : unit -> unit
 (** Clears the global cache and the trace event buffers, then runs
     every reset hook in the {!Dlz_obs.Registry} — global stats
-    (including the allocations-per-query counters), pool steal/
-    auto-chunk telemetry, latency histograms (queue-wait included),
-    and any serve-side collectors a live daemon registered.  Every
-    reporting entry point calls this before the work it reports on,
-    so back-to-back [--stats] runs never accumulate. *)
+    (including the allocations-per-query counters), latency
+    histograms, and any serve-side collectors a live daemon
+    registered.  Every reporting entry point calls this before the
+    work it reports on, so back-to-back [--stats] runs never
+    accumulate. *)

@@ -268,7 +268,7 @@ let save ?(stats = Stats.global) ?(cache = Query.global_cache) path =
           Stats.record_snapshot_save_fail stats;
           e)
 
-let load ?(stats = Stats.global) ?(cache = Query.global_cache) ?pool path =
+let load ?(stats = Stats.global) ?(cache = Query.global_cache) path =
   Trace.with_span ~cat:"persist" ~args:[ ("path", path) ] "snapshot.load"
     (fun () ->
       let outcome =
@@ -281,7 +281,7 @@ let load ?(stats = Stats.global) ?(cache = Query.global_cache) ?pool path =
               Chaos.strike c ~strategy:"persist.load" (Lazy.force trivial_problem)
           | None -> ());
           let data = In_channel.with_open_bin path In_channel.input_all in
-          Ok (Query.load_entries ?pool cache (decode data))
+          Ok (Query.load_entries cache (decode data))
         with
         | Malformed m -> Error m
         | Sys_error m -> Error m

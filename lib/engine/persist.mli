@@ -54,14 +54,12 @@ val save : ?stats:Stats.t -> ?cache:Query.cache -> string -> (int, string) resul
 val load :
   ?stats:Stats.t ->
   ?cache:Query.cache ->
-  ?pool:Dlz_base.Pool.t ->
   string ->
   (int, string) result
 (** [load path] validates and bulk-loads a snapshot into the cache
     (default {!Query.global_cache}), marking every admitted entry warm.
     [Ok n] is the number of entries admitted (the per-shard capacity
-    bound can drop a surplus); with [pool] the shards load in
-    parallel.  [Error reason] means the file was refused — wrong magic,
+    bound can drop a surplus).  [Error reason] means the file was refused — wrong magic,
     tag mismatch, truncation, checksum failure, a malformed entry, an
     I/O error, or an injected chaos fault — and the cache is left
     exactly as it was: never raises, never partially applies a bad

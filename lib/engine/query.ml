@@ -313,13 +313,11 @@ let dump cache =
      inherits byte-for-byte determinism from this. *)
   List.sort (fun (a, _) (b, _) -> String.compare a b) !out
 
-let load_entries ?pool cache kvs =
+let load_entries cache kvs =
   let n = Array.length kvs in
   let nshards = Array.length cache.shards in
   let hashes = Array.map (fun (k, _) -> hash_of_key k) kvs in
-  (* Group entry indices by shard: each shard's group is then loaded
-     under that shard's lock alone, so the groups can go to the pool —
-     parallel bulk load with zero cross-shard contention. *)
+  (* Group entry indices by shard, so each shard takes its lock once. *)
   let groups = Array.make nshards [] in
   for i = n - 1 downto 0 do
     let s = hashes.(i) mod nshards in
@@ -354,16 +352,11 @@ let load_entries ?pool cache kvs =
     Mutex.unlock sh.s_lock;
     !loaded
   in
-  match pool with
-  | Some p when Dlz_base.Pool.domains p > 1 ->
-      Array.fold_left ( + ) 0
-        (Dlz_base.Pool.map p load_shard (Array.init nshards Fun.id))
-  | _ ->
-      let total = ref 0 in
-      for si = 0 to nshards - 1 do
-        total := !total + load_shard si
-      done;
-      !total
+  let total = ref 0 in
+  for si = 0 to nshards - 1 do
+    total := !total + load_shard si
+  done;
+  !total
 
 (* Histogram handles resolved once: [Engine.reset_metrics] resets
    histograms in place, so the handles stay valid for the process

@@ -72,16 +72,13 @@ val dump : cache -> (string * Strategy.result) list
     Takes each shard's writer lock in turn; call from one domain while
     no analysis is in flight. *)
 
-val load_entries :
-  ?pool:Dlz_base.Pool.t -> cache -> (string * Strategy.result) array -> int
+val load_entries : cache -> (string * Strategy.result) array -> int
 (** [load_entries cache kvs] bulk-inserts pre-solved entries (keys in
     the {!key_of} materialized form), marking them {e warm}: a later
     hit on one records {!Stats.record_warm_hit} alongside the plain
-    hit.  Entries are grouped by shard first, so with [pool] the shards
-    load in parallel without contending.  Respects the per-shard
-    capacity (overflow entries are dropped, never flushed for) and
-    skips keys already present; returns the number actually
-    inserted. *)
+    hit.  Respects the per-shard capacity (overflow entries are
+    dropped, never flushed for) and skips keys already present;
+    returns the number actually inserted. *)
 
 type disposition = Hit_warm | Hit_cold | Miss | Uncacheable
 (** Where a query's answer came from: a hit on a snapshot-loaded

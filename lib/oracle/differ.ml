@@ -271,7 +271,7 @@ let run ?stats ?(jobs = 1) ?(fuel = default_fuel) ?(limit = default_limit)
     Pool.with_jobs ~jobs (fun pool ->
         match pool with
         | None -> Array.map check arr
-        | Some p -> Pool.map p ~chunk:4 check arr)
+        | Some p -> Pool.map p check arr)
   in
   let tally =
     Array.fold_left (fun acc (t, _) -> add_tally acc t) zero_tally results

@@ -83,17 +83,14 @@ let of_pairs accs solved =
       (fun (s : Analyze.solved) -> edges_of_pair s.Analyze.pair s.Analyze.settled)
       solved
   in
-  (* Deduplicate identical edges (also fixes the final order, so the
-     graph is byte-identical for any job count). *)
+  (* Deduplicate identical edges (also fixes the final order). *)
   let edges = List.sort_uniq Stdlib.compare edges in
   { nstmts; stmt_names; edges }
 
-let build ?mode ?cascade ?budget ?jobs ?pool ?chunk ?(env = Assume.empty) prog
-    =
+let build ?mode ?cascade ?budget ?(env = Assume.empty) prog =
   Dlz_base.Trace.with_span ~cat:"driver" "depgraph.build" @@ fun () ->
   let accs, env = Access.of_program ~env prog in
-  of_pairs accs
-    (Analyze.pass ?mode ?cascade ?budget ?jobs ?pool ?chunk ~env accs)
+  of_pairs accs (Analyze.pass ?mode ?cascade ?budget ~env accs)
 
 let edges_at_level g level =
   List.filter (fun e -> e.e_level >= level) g.edges

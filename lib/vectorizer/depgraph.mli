@@ -42,17 +42,11 @@ val build :
   ?mode:Dlz_engine.Analyze.mode ->
   ?cascade:Dlz_engine.Cascade.t ->
   ?budget:Dlz_base.Budget.t ->
-  ?jobs:int ->
-  ?pool:Dlz_base.Pool.t ->
-  ?chunk:int ->
   ?env:Assume.t ->
   Dlz_ir.Ast.program ->
   t
 (** Analyzes a normalized program: {!of_pairs} of one
-    {!Dlz_engine.Analyze.pass} over its accesses.  [jobs]/[pool]/[chunk]
-    parallelize the pair queries exactly as in
-    {!Dlz_engine.Analyze.deps_of_accesses}; the graph is identical for
-    any job count or chunk size. *)
+    {!Dlz_engine.Analyze.pass} over its accesses. *)
 
 val edges_at_level : t -> int -> edge list
 (** Edges not carried by loops outer than [level]: carrying level

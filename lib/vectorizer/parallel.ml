@@ -49,7 +49,7 @@ let of_graph p (graph : Depgraph.t) =
       })
     (loops_with_stmts p)
 
-let report ?mode ?cascade ?budget ?jobs ?pool ?chunk ?env p =
-  of_graph p (Depgraph.build ?mode ?cascade ?budget ?jobs ?pool ?chunk ?env p)
+let report ?mode ?cascade ?budget ?env p =
+  of_graph p (Depgraph.build ?mode ?cascade ?budget ?env p)
 
 let fully_parallel reports = List.for_all (fun r -> r.lr_parallel) reports

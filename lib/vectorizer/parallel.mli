@@ -23,14 +23,10 @@ val report :
   ?mode:Dlz_engine.Analyze.mode ->
   ?cascade:Dlz_engine.Cascade.t ->
   ?budget:Dlz_base.Budget.t ->
-  ?jobs:int ->
-  ?pool:Dlz_base.Pool.t ->
-  ?chunk:int ->
   ?env:Dlz_symbolic.Assume.t ->
   Dlz_ir.Ast.program ->
   loop_report list
-(** {!of_graph} of {!Depgraph.build}.  [jobs]/[pool]/[chunk]
-    parallelize the underlying pass. *)
+(** {!of_graph} of {!Depgraph.build}. *)
 
 val fully_parallel : loop_report list -> bool
 (** Every loop parallel (the verdict the corpus ablation counts). *)

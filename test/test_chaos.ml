@@ -1,7 +1,8 @@
 (* Containment invariants of the fault-injected engine (lib/engine):
    with the chaos harness striking at strategy boundaries, analysis
    must still terminate, verdicts may only degrade toward "dependent",
-   parallel output must equal serial output, and the stats degradation
+   programs analyzed one per pool element must report what a serial run
+   reports, and the stats degradation
    counters must account for every injected fault exactly.  Also the
    non-injected fault paths: Intx.Overflow from near-max_int
    coefficients and Budget exhaustion from tiny fuel.
@@ -93,9 +94,16 @@ let test_overflow_contained_every_mode () =
   let prog = prepare Fragments.overflow_stress_program in
   List.iter
     (fun mode ->
-      let serial = Analyze.deps_of_program ~mode ~jobs:1 prog in
-      let par = Analyze.deps_of_program ~mode ~jobs:test_jobs prog in
-      Alcotest.(check bool) "serial = parallel" true (serial = par);
+      let serial = Analyze.deps_of_program ~mode prog in
+      (* The same program on every domain at once, racing on the cache. *)
+      let par =
+        Pool.with_pool ~domains:test_jobs (fun pool ->
+            Pool.map pool (Analyze.deps_of_program ~mode)
+              (Array.make test_jobs prog))
+      in
+      Array.iter
+        (fun p -> Alcotest.(check bool) "serial = parallel" true (serial = p))
+        par;
       (* The loop-carried self dependence survives in every mode: a
          faulted strategy degrades to dependent, never drops the row. *)
       Alcotest.(check bool)
@@ -106,7 +114,7 @@ let test_overflow_contained_every_mode () =
     [ Analyze.Delinearize; Analyze.Classic; Analyze.ExactMode ];
   (* Classic runs GCD+Banerjee on the unbroken 2^40-coefficient
      equations, so its rows must carry overflow provenance. *)
-  let classic = Analyze.deps_of_program ~mode:Analyze.Classic ~jobs:1 prog in
+  let classic = Analyze.deps_of_program ~mode:Analyze.Classic prog in
   Alcotest.(check bool)
     "classic rows degraded by overflow" true
     (List.for_all
@@ -137,9 +145,9 @@ let test_tiny_fuel_terminates_conservatively () =
   List.iter
     (fun prog ->
       let budget = Budget.create ~fuel:5 () in
-      let deps = Analyze.deps_of_program ~budget ~jobs:1 prog in
+      let deps = Analyze.deps_of_program ~budget prog in
       (* Clean rows on the same program, for comparison. *)
-      let clean = Analyze.deps_of_program ~jobs:1 prog in
+      let clean = Analyze.deps_of_program prog in
       (* Terminated (we are here), and no dependence disappeared: a
          starved strategy may only add conservative rows, never prove
          independence. *)
@@ -216,9 +224,9 @@ let test_chaos_parallel_equals_serial () =
           (Some (chaos_cfg seed))
           (fun () ->
             Engine.reset_metrics ();
-            List.concat_map
-              (fun prog -> Analyze.deps_of_program ~jobs prog)
-              (workload_programs ()))
+            Pool.with_pool ~domains:jobs (fun pool ->
+                Pool.map pool Analyze.deps_of_program
+                  (Array.of_list (workload_programs ()))))
       in
       let serial = run 1 in
       let par = run test_jobs in
@@ -262,69 +270,59 @@ let test_accounting_survives_domains () =
   let chaos = chaos_cfg 4242L in
   let stats = Stats.create () in
   let cache = Query.create_cache () in
-  List.iter
-    (fun prog ->
-      let accs, env = Access.of_program prog in
-      Pool.with_pool ~domains:test_jobs (fun pool ->
-          ignore (Engine.query_all ~stats ~cache ~chaos ~pool ~env accs)))
-    (workload_programs ());
+  Pool.with_pool ~domains:test_jobs (fun pool ->
+      ignore
+        (Pool.map pool
+           (fun prog ->
+             let accs, env = Access.of_program prog in
+             Engine.query_all ~stats ~cache ~chaos ~env accs)
+           (Array.of_list (workload_programs ()))));
   let strikes = Chaos.strikes chaos in
   Alcotest.(check bool) "struck" true (strikes > 0);
   Alcotest.(check int)
     "atomic counters agree across domains" strikes (chaos_attributed stats)
 
-let test_strike_in_stolen_chunk () =
-  (* Chunks of one query dealt across the work-stealing deques, with
-     injection striking mid-run: a strike that fires inside a chunk
-     some other domain stole must still cost exactly one degraded
-     answer — [strikes = chaos-attributed degradations] — and the
-     output must stay the serial one.  Stealing is scheduling-
-     dependent, so the run retries until the steal counter moves (each
-     attempt asserting the accounting regardless). *)
-  let progs = workload_programs () in
+let test_strike_on_pool_domain () =
+  (* Programs dealt one per element over a pool, with injection
+     striking mid-run: a strike that fires on any domain must still cost
+     exactly one degraded answer — [strikes = chaos-attributed
+     degradations] — and the output must keep the serial row counts.
+     The run retries with fresh seeds until one strikes (each attempt
+     asserting the accounting regardless). *)
+  let progs = Array.of_list (workload_programs ()) in
+  let verdicts ~stats ~cache ?chaos prog =
+    let accs, env = Access.of_program prog in
+    List.map
+      (fun (_, (r : Strategy.result)) -> r.Strategy.verdict)
+      (Engine.query_all ~stats ~cache ?chaos ~env accs)
+  in
   let serial =
     with_chaos None @@ fun () ->
-    List.map
-      (fun prog ->
-        let accs, env = Access.of_program prog in
-        List.map
-          (fun (_, (r : Strategy.result)) -> r.Strategy.verdict)
-          (Engine.query_all ~stats:(Stats.create ())
-             ~cache:(Query.create_cache ()) ~env accs))
+    Array.map
+      (verdicts ~stats:(Stats.create ()) ~cache:(Query.create_cache ()))
       progs
   in
   let rec attempt k =
-    Pool.reset_metrics ();
     let chaos = chaos_cfg (Int64.of_int (9000 + k)) in
     let stats = Stats.create () in
     let cache = Query.create_cache () in
     let par =
-      List.map
-        (fun prog ->
-          let accs, env = Access.of_program prog in
-          Pool.with_pool ~domains:test_jobs (fun pool ->
-              List.map
-                (fun (_, (r : Strategy.result)) -> r.Strategy.verdict)
-                (Engine.query_all ~stats ~cache ~chaos ~pool ~chunk:1 ~env
-                   accs)))
-        progs
+      Pool.with_pool ~domains:test_jobs (fun pool ->
+          Pool.map pool (verdicts ~stats ~cache ~chaos) progs)
     in
     let strikes = Chaos.strikes chaos in
     Alcotest.(check int)
-      "one degradation per strike, even in stolen chunks" strikes
+      "one degradation per strike, on any domain" strikes
       (chaos_attributed stats);
     (* Degraded-to-conservative only: never a dropped or extra row. *)
-    List.iter2
+    Array.iter2
       (fun s p ->
         Alcotest.(check int) "row counts match serial" (List.length s)
           (List.length p))
       serial par;
-    if (Pool.steals () = 0 || strikes = 0) && k < 20 then attempt (k + 1)
-    else (Pool.steals (), strikes)
+    if strikes = 0 && k < 20 then attempt (k + 1) else strikes
   in
-  let steals, strikes = attempt 1 in
-  Alcotest.(check bool) "chunks were stolen" true (steals > 0);
-  Alcotest.(check bool) "the seed struck" true (strikes > 0)
+  Alcotest.(check bool) "the seed struck" true (attempt 1 > 0)
 
 (* --- chaos: zero-divisor strikes ------------------------------------------ *)
 
@@ -466,8 +464,8 @@ let () =
         [
           Alcotest.test_case "every strike is one degradation" `Quick
             test_every_strike_accounted;
-          Alcotest.test_case "strike in a stolen chunk" `Quick
-            test_strike_in_stolen_chunk;
+          Alcotest.test_case "strike on a pool domain" `Quick
+            test_strike_on_pool_domain;
           Alcotest.test_case "accounting survives domains" `Quick
             test_accounting_survives_domains;
         ] );

@@ -173,23 +173,6 @@ let test_save_deterministic =
     (read_file snap3);
   List.iter Sys.remove [ snap1; snap2; snap3 ]
 
-let test_parallel_load_matches_serial =
-  without_chaos @@ fun () ->
-  let _, _, snap, saved = populate_and_save () in
-  let load_into pool =
-    let cache = Query.create_cache () in
-    (match Persist.load ~cache ?pool snap with
-    | Ok n -> Alcotest.(check int) "all entries admitted" saved n
-    | Error e -> Alcotest.fail e);
-    List.map (fun (k, r) -> k ^ "=" ^ result_str r) (Query.dump cache)
-  in
-  let serial = load_into None in
-  let parallel =
-    Pool.with_pool ~domains:test_jobs (fun pool -> load_into (Some pool))
-  in
-  check_strings "parallel shard load = serial load" serial parallel;
-  Sys.remove snap
-
 let test_capacity_bounded_load =
   without_chaos @@ fun () ->
   let _, _, snap, saved = populate_and_save () in
@@ -523,8 +506,6 @@ let () =
             test_round_trip_identical;
           Alcotest.test_case "saves byte-deterministic" `Quick
             test_save_deterministic;
-          Alcotest.test_case "parallel load = serial load" `Quick
-            test_parallel_load_matches_serial;
           Alcotest.test_case "capacity-bounded load" `Quick
             test_capacity_bounded_load;
         ] );

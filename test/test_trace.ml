@@ -13,6 +13,7 @@
    consistency), which hold under DLZ_CHAOS too — the @trace-ci alias
    runs this binary under one chaos seed on purpose. *)
 
+module Pool = Dlz_base.Pool
 module Trace = Dlz_base.Trace
 module Hist = Trace.Hist
 module F77 = Dlz_frontend.F77_parser
@@ -706,10 +707,15 @@ let check_engine_trace c =
       end)
     queries
 
+(* Several programs, one per pool element, so spans land on every
+   domain's ring and the export has to merge them. *)
 let run_analysis () =
   Engine.reset_metrics ();
-  let prog = prepare (many_distances_src 10) in
-  ignore (Analyze.deps_of_program ~jobs:test_jobs prog);
+  let progs =
+    Array.map (fun n -> prepare (many_distances_src n)) [| 4; 6; 8; 10 |]
+  in
+  Pool.with_pool ~domains:test_jobs (fun pool ->
+      ignore (Pool.map pool Analyze.deps_of_program progs));
   Alcotest.(check bool) "stats consistent" true (Stats.consistent Stats.global);
   if Stats.queries Stats.global = 0 then Alcotest.fail "workload ran no queries"
 
