@@ -55,9 +55,6 @@ let with_diagnostics f =
   | Dlz_passes.Inline.Unsupported msg ->
       prerr_endline ("inlining: " ^ msg);
       exit 1
-  | Dlz_driver.Dynamic.Error err ->
-      prerr_endline ("dynamic: " ^ Dlz_driver.Dynamic.describe err);
-      exit 1
   | Failure msg ->
       prerr_endline ("error: " ^ msg);
       exit 1
