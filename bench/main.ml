@@ -1215,6 +1215,22 @@ let oracle_report () =
 
 (* --- perf smoke gate (@perf-ci) ------------------------------------------- *)
 
+(* Minor words one [Algo.run] of the Figure-5 equation allocates.  The
+   count is deterministic (no timing involved), so a fixed bound catches
+   any return of the full 3^n_common hierarchy walk per piece, which
+   allocated ~22.3k words here; per-piece refinement allocates ~5.9k. *)
+let fig5_run_words_bound = 8000.
+
+let fig5_run_words () =
+  let run () = ignore (Algo.run ~n_common:3 ~common_ubs:[| 8; 9; 8 |] fig5) in
+  run ();
+  let reps = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    run ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
+
 (* A CI-sized slice of the parallel sweep: the reduced workload analyzed
    end-to-end at jobs=1 and jobs=4, one program per pool element, best
    of two trials each.  On a
@@ -1222,8 +1238,14 @@ let oracle_report () =
    (with 10% noise headroom) — the scheduler must never make parallel
    analysis slower than serial.  On a single-core host the comparison
    can only measure oversubscription, so the gate prints both numbers
-   and passes with a note. *)
+   and passes with a note.  The Figure-5 allocation bound is checked
+   first and independently of the scaling verdict. *)
 let perf_smoke () =
+  let words = fig5_run_words () in
+  let alloc_ok = words <= fig5_run_words_bound in
+  Printf.printf "perf-smoke: Algo.run fig5 minor words=%.0f bound=%.0f %s\n"
+    words fig5_run_words_bound
+    (if alloc_ok then "PASS" else "FAIL");
   let progs =
     [| family_prog ~depth:2 ~extent:10; family_prog ~depth:3 ~extent:10;
        fig3_prog; mhl_prog; ib_prog |]
@@ -1246,18 +1268,26 @@ let perf_smoke () =
     cores
     (Float.max t1 1e-9) (Float.max t4 1e-9)
     (if t4 > 0. then t1 /. t4 else 0.);
-  if cores < 2 then
-    print_endline
-      "perf-smoke: PASS (single-core host: jobs=4 runs oversubscribed, \
-       scaling not enforced)"
-  else if t4 > t1 *. 1.10 then begin
-    Printf.printf
-      "perf-smoke: FAIL (jobs=4 is %.1f%% slower than jobs=1 on %d cores)\n"
-      (((t4 /. t1) -. 1.) *. 100.)
-      cores;
-    exit 1
-  end
-  else print_endline "perf-smoke: PASS"
+  let scaling_ok =
+    if cores < 2 then begin
+      print_endline
+        "perf-smoke: PASS (single-core host: jobs=4 runs oversubscribed, \
+         scaling not enforced)";
+      true
+    end
+    else if t4 > t1 *. 1.10 then begin
+      Printf.printf
+        "perf-smoke: FAIL (jobs=4 is %.1f%% slower than jobs=1 on %d cores)\n"
+        (((t4 /. t1) -. 1.) *. 100.)
+        cores;
+      false
+    end
+    else begin
+      print_endline "perf-smoke: PASS";
+      true
+    end
+  in
+  if not (alloc_ok && scaling_ok) then exit 1
 
 let run_oracle_only () =
   print_endline

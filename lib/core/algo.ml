@@ -2,7 +2,6 @@ open Dlz_base
 module Depeq = Dlz_deptest.Depeq
 module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
-module Ddvec = Dlz_deptest.Ddvec
 module Problem = Dlz_deptest.Problem
 module Hierarchy = Dlz_deptest.Hierarchy
 
@@ -23,7 +22,6 @@ type result = {
   verdict : Verdict.t;
   pieces : Depeq.t list;
   dirvecs : Dirvec.t list;
-  ddvecs : Ddvec.t list;
   distances : (int * int) list;
   steps : step list;
 }
@@ -63,20 +61,11 @@ let piece_distance (piece : Depeq.t) =
       if Numth.divides a piece.c0 then Some (lvl, piece.c0 / a) else None
   | _ -> None
 
-let meet_sets dvs nvs =
-  let merged =
-    List.concat_map
-      (fun dv -> List.filter_map (fun nv -> Dirvec.meet dv nv) nvs)
-      dvs
-  in
-  List.sort_uniq Dirvec.compare merged
-
-let run ?(policy = Optimal) ?solver ~n_common ~common_ubs eq =
-  let solver =
-    match solver with
-    | Some s -> s
-    | None -> fun np -> Hierarchy.directions ~test:Hierarchy.gcd_banerjee np
-  in
+(* Each piece's vectors keep [Star] at the common levels it has no
+   variable for (see {!Hierarchy.piece_directions}), so the running meet
+   stays over a few vectors; the one expansion to basic vectors happens
+   after the last piece. *)
+let run ?(policy = Optimal) ~n_common ~common_ubs eq =
   let eq = sort_terms eq in
   let terms = Array.of_list eq.terms in
   let n = Array.length terms in
@@ -89,6 +78,7 @@ let run ?(policy = Optimal) ?solver ~n_common ~common_ubs eq =
   let pieces = ref [] in
   let distances = ref [] in
   let dirvecs = ref [ Dirvec.all_star n_common ] in
+  let solved = ref false in
   let independent = ref false in
   let smin = ref 0 and smax = ref 0 in
   let kbeg = ref 0 in
@@ -123,9 +113,11 @@ let run ?(policy = Optimal) ?solver ~n_common ~common_ubs eq =
           | Some (lvl, d) -> distances := (lvl, d) :: !distances
           | None -> ());
           let nv =
-            solver (Problem.numeric_of_equations ~n_common ~common_ubs [ piece ])
+            Hierarchy.piece_directions
+              (Problem.numeric_of_equations ~n_common ~common_ubs [ piece ])
           in
-          dirvecs := meet_sets !dirvecs nv;
+          solved := true;
+          dirvecs := Dirvec.meet_sets !dirvecs nv;
           if !dirvecs = [] then independent := true
         end;
         smin := 0;
@@ -157,25 +149,16 @@ let run ?(policy = Optimal) ?solver ~n_common ~common_ubs eq =
     if !independent || !dirvecs = [] then Verdict.Independent
     else Verdict.Dependent
   in
-  let dirvecs = if verdict = Verdict.Independent then [] else !dirvecs in
-  let distances = List.sort_uniq Stdlib.compare !distances in
-  let ddvecs =
-    List.map
-      (fun dv ->
-        List.fold_left
-          (fun ddv (lvl, d) ->
-            if lvl >= 1 && lvl <= Array.length dv then
-              Ddvec.with_distance ddv lvl d
-            else ddv)
-          (Ddvec.of_dirvec dv) distances)
-      dirvecs
+  let dirvecs =
+    if verdict = Verdict.Independent then []
+    else if !solved then Hierarchy.expand ~common_ubs !dirvecs
+    else !dirvecs
   in
   {
     verdict;
     pieces = List.rev !pieces;
     dirvecs;
-    ddvecs;
-    distances;
+    distances = List.sort_uniq Stdlib.compare !distances;
     steps = List.rev !steps;
   }
 

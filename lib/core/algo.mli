@@ -14,7 +14,6 @@
 module Depeq = Dlz_deptest.Depeq
 module Verdict = Dlz_deptest.Verdict
 module Dirvec = Dlz_deptest.Dirvec
-module Ddvec = Dlz_deptest.Ddvec
 
 type residue_policy =
   | Nonneg  (** [r = c0 mod g ∈ [0, g-1]]: the literal reading. *)
@@ -43,8 +42,6 @@ type result = {
   pieces : Depeq.t list;  (** Separated equations, in emission order. *)
   dirvecs : Dirvec.t list;
       (** Surviving basic direction vectors over the common loops. *)
-  ddvecs : Ddvec.t list;
-      (** Same vectors with exact distances where pieces determine them. *)
   distances : (int * int) list;
       (** [(level, β-α)] distances proven constant by some piece. *)
   steps : step list;  (** Full per-iteration trace (Figure 5). *)
@@ -61,16 +58,18 @@ val sort_terms : Depeq.t -> Depeq.t
 
 val run :
   ?policy:residue_policy ->
-  ?solver:(Dlz_deptest.Problem.numeric -> Dirvec.t list) ->
   n_common:int ->
   common_ubs:int array ->
   Depeq.t ->
   result
-(** Runs the algorithm.  [solver] computes direction vectors of separated
-    equations (default {!Dlz_deptest.Hierarchy.directions} with
-    GCD+Banerjee).  [n_common]/[common_ubs] describe the common loops of
-    the dependence pair (used to size direction vectors and check
-    direction feasibility). *)
+(** Runs the algorithm.  Each separated equation's direction vectors
+    come from {!Dlz_deptest.Hierarchy.piece_directions} (GCD+Banerjee
+    over the common levels the piece touches); the sets are met on the
+    fly and expanded to basic vectors once at the end, which gives the
+    same vectors as refining every piece over the whole hierarchy.
+    [n_common]/[common_ubs] describe the common loops of the dependence
+    pair (used to size direction vectors and check direction
+    feasibility). *)
 
 val test : ?policy:residue_policy -> Depeq.t -> Verdict.t
 (** Independence-only entry point (no direction vectors computed for the

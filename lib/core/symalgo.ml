@@ -60,12 +60,6 @@ let residue ~smin ~smax c0 g =
 
 let all_star_set n = [ Dirvec.all_star n ]
 
-let meet_sets dvs nvs =
-  List.concat_map
-    (fun dv -> List.filter_map (fun nv -> Dirvec.meet dv nv) nvs)
-    dvs
-  |> List.sort_uniq Dirvec.compare
-
 (* Feasibility of β - α = d within bounds β ≤ ub_dst, α ≤ ub_src:
    infeasible if d > ub_dst or -d > ub_src. *)
 let delta_feasible env ~ub_src ~ub_dst d =
@@ -77,10 +71,11 @@ let solve_piece ~env ~n_common (piece : Symeq.t) =
   let numeric_common_ubs () = Array.make n_common max_int in
   match Symeq.to_numeric piece with
   | Some neq ->
+      let common_ubs = numeric_common_ubs () in
       let nv =
-        Hierarchy.directions
-          (Problem.numeric_of_equations ~n_common
-             ~common_ubs:(numeric_common_ubs ()) [ neq ])
+        Hierarchy.expand ~common_ubs
+          (Hierarchy.piece_directions
+             (Problem.numeric_of_equations ~n_common ~common_ubs [ neq ]))
       in
       if nv = [] then independent
       else
@@ -198,7 +193,7 @@ let run ?(check_independence = true) ~env ~n_common (eq : Symeq.t) =
             | None -> ());
             if v = Verdict.Independent then independent := true
             else begin
-              dirvecs := meet_sets !dirvecs nv;
+              dirvecs := Dirvec.meet_sets !dirvecs nv;
               if !dirvecs = [] then independent := true
             end
           end

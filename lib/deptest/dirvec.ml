@@ -41,6 +41,10 @@ let meet a b =
   done;
   if !ok then Some result else None
 
+let meet_sets dvs nvs =
+  List.concat_map (fun dv -> List.filter_map (fun nv -> meet dv nv) nvs) dvs
+  |> List.sort_uniq Stdlib.compare
+
 let join a b =
   if Array.length a <> Array.length b then
     invalid_arg "Dirvec.join: length mismatch";

@@ -35,6 +35,11 @@ val meet : t -> t -> t option
     length meet on their common prefix, keeping the longer tail (used
     when a separated equation constrains only some levels). *)
 
+val meet_sets : t list -> t list -> t list
+(** Every non-empty pairwise {!meet} of the two sets, sorted and without
+    duplicates: the vectors admitted by both sets.  [[all_star n]] is
+    its identity; an empty result means the sets are disjoint. *)
+
 val join : t -> t -> t
 (** Pointwise join of equal-length vectors. *)
 

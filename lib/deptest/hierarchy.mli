@@ -23,6 +23,21 @@ val directions :
     exhaustion raises {!Dlz_base.Budget.Exhausted} (a truncated set
     would read as proven independence). *)
 
+val piece_directions : Problem.numeric -> Dirvec.t list
+(** {!directions} with {!gcd_banerjee}, refining only the common levels
+    at which some equation has a variable; every other level stays
+    [Star].  GCD and Banerjee read a level's direction only where the
+    equation has a term there, so an untouched level can change a
+    verdict only through its feasibility, and
+    [expand ~common_ubs:p.common_ubs (piece_directions p) = directions p].
+    Vectors carrying [Star] meet cheaply, so a caller intersecting the
+    sets of several pieces should {!expand} once, after the last meet. *)
+
+val expand : common_ubs:int array -> Dirvec.t list -> Dirvec.t list
+(** Replaces every [Star] with each basic direction {!feasible_dir}
+    admits for that level's bound (levels past [common_ubs] admit all
+    three), sorted and without duplicates. *)
+
 val directions_exact :
   ?budget:Dlz_base.Budget.t -> Problem.numeric -> Dirvec.t list
 (** Ground truth via the exact solver (exponential; small problems). *)

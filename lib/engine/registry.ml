@@ -18,12 +18,6 @@ module Symalgo = Dlz_core.Symalgo
 
 (* --- the paper's algorithm (total: always decides) ---------------------- *)
 
-let meet_sets dvs nvs =
-  List.concat_map
-    (fun dv -> List.filter_map (fun nv -> Dirvec.meet dv nv) nvs)
-    dvs
-  |> List.sort_uniq Dirvec.compare
-
 let numeric_common_ubs (p : Problem.t) =
   let rec go acc = function
     | [] -> Some (List.rev acc)
@@ -62,7 +56,7 @@ let run_delinearize ~env ~budget (p : Problem.t) =
             let ve, nv, de = analyze_eq eq in
             if ve = Verdict.Independent then (Verdict.Independent, [], dists)
             else
-              let met = meet_sets dvs nv in
+              let met = Dirvec.meet_sets dvs nv in
               if met = [] then (Verdict.Independent, [], dists)
               else (Verdict.Dependent, met, de @ dists))
       (Verdict.Dependent, [ Dirvec.all_star n_common ], [])

@@ -226,6 +226,79 @@ let policy_props =
           exact);
   ]
 
+(* --- per-piece directions against the full-hierarchy scan ---------------- *)
+
+module Problem = Dlz_deptest.Problem
+module Hierarchy = Dlz_deptest.Hierarchy
+module Eqgen = Dlz_oracle.Eqgen
+
+(* The scan as it read before per-piece refinement: every separated
+   equation refined over the whole direction hierarchy, the fully
+   expanded sets met piece by piece, stopping at the first empty meet. *)
+let full_hierarchy_scan ~n_common ~common_ubs eq =
+  let rec scan dvs dists = function
+    | [] -> (dvs, dists)
+    | piece :: rest ->
+        let dists =
+          match Algo.piece_distance piece with
+          | Some d -> d :: dists
+          | None -> dists
+        in
+        let nv =
+          Hierarchy.directions
+            (Problem.numeric_of_equations ~n_common ~common_ubs [ piece ])
+        in
+        let dvs = Dirvec.meet_sets dvs nv in
+        if dvs = [] then ([], dists) else scan dvs dists rest
+  in
+  let dvs, dists =
+    scan [ Dirvec.all_star n_common ] [] (Algo.pieces_of eq)
+  in
+  let verdict =
+    if Algo.test eq = Verdict.Independent || dvs = [] then Verdict.Independent
+    else Verdict.Dependent
+  in
+  ( verdict,
+    (if verdict = Verdict.Independent then [] else dvs),
+    List.sort_uniq Stdlib.compare dists )
+
+let outcome f = try Ok (f ()) with Dlz_base.Intx.Overflow _ -> Error ()
+
+let check_against_full_scan ~what ~n_common ~common_ubs eq =
+  let got =
+    outcome (fun () ->
+        let r = Algo.run ~n_common ~common_ubs eq in
+        (r.Algo.verdict, r.Algo.dirvecs, r.Algo.distances))
+  in
+  let want = outcome (fun () -> full_hierarchy_scan ~n_common ~common_ubs eq) in
+  if got <> want then
+    Alcotest.failf "%s: Algo.run differs from the full-hierarchy scan on %s"
+      what (Depeq.to_string eq)
+
+let full_scan_units =
+  [
+    Alcotest.test_case "fig5 equals the full-hierarchy scan" `Quick (fun () ->
+        check_against_full_scan ~what:"fig5" ~n_common:3
+          ~common_ubs:[| 8; 9; 8 |] (eq_fig5 ());
+        check_against_full_scan ~what:"eq(1)" ~n_common:2
+          ~common_ubs:[| 4; 9 |] (eq1 ()));
+    Alcotest.test_case "eqgen batch equals the full-hierarchy scan" `Quick
+      (fun () ->
+        let cases = Eqgen.all ~seed:15L ~count:400 in
+        let n = ref 0 in
+        List.iter
+          (fun (c : Eqgen.case) ->
+            let g = c.ground in
+            List.iter
+              (fun eq ->
+                incr n;
+                check_against_full_scan ~what:c.id ~n_common:g.n_common
+                  ~common_ubs:g.common_ubs eq)
+              g.eqs)
+          cases;
+        Alcotest.(check bool) "batch is not empty" true (!n > 300));
+  ]
+
 (* --- symbolic algorithm -------------------------------------------------------- *)
 
 module Symalgo = Dlz_core.Symalgo
@@ -524,6 +597,7 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_sound; prop_run_matches_test ] );
+      ("full-scan", full_scan_units);
       ("policies", policy_units);
       ("policy-props", List.map QCheck_alcotest.to_alcotest policy_props);
       ("symbolic-props", List.map QCheck_alcotest.to_alcotest symbolic_props);

@@ -528,6 +528,75 @@ let hierarchy_props =
           exact);
   ]
 
+(* Per-piece refinement: problems whose terms sit at level 0, at common
+   levels 1..n_common and above n_common, with bounds that include 0
+   (where '<' and '>' are infeasible), and, half the time, no term at
+   any common level at all. *)
+let gen_piece_problem =
+  QCheck.Gen.(
+    let* n_common = int_range 0 4 in
+    let* common_ubs = array_repeat n_common (int_range 0 3) in
+    let* untouched = bool in
+    let level =
+      if untouched then oneofl [ 0; n_common + 1; n_common + 2 ]
+      else int_range 0 (n_common + 1)
+    in
+    let gen_eq =
+      let* n = int_range 0 4 in
+      let* c0 = int_range (-12) 12 in
+      let* terms =
+        flatten_l
+          (List.init n (fun i ->
+               let* c = oneofl [ -6; -3; -2; -1; 1; 2; 3; 6 ] in
+               let* level = level in
+               let* side = oneofl [ `Src; `Dst ] in
+               let* ub = int_range 0 4 in
+               return (c, var ~side ~level (Printf.sprintf "z%d" i) ub)))
+      in
+      return (Depeq.make c0 terms)
+    in
+    let* neqs = int_range 1 2 in
+    let* eqs = list_repeat neqs gen_eq in
+    return (Problem.numeric_of_equations ~n_common ~common_ubs eqs))
+
+let print_piece_problem (p : Problem.numeric) =
+  Printf.sprintf "n_common=%d ubs=[%s] %s" p.n_common
+    (String.concat ";" (Array.to_list (Array.map string_of_int p.common_ubs)))
+    (String.concat " && " (List.map Depeq.to_string p.eqs))
+
+let piece_props =
+  [
+    QCheck.Test.make ~name:"expand (piece_directions p) = directions p"
+      ~count:1000
+      (QCheck.make ~print:print_piece_problem gen_piece_problem)
+      (fun p ->
+        Hierarchy.expand ~common_ubs:p.common_ubs (Hierarchy.piece_directions p)
+        = Hierarchy.directions p);
+  ]
+
+let piece_units =
+  [
+    Alcotest.test_case "untouched levels stay * until expanded" `Quick
+      (fun () ->
+        (* i1 + 1 = i2 at level 2 of 3: only level 2 is refined. *)
+        let eq =
+          Depeq.make 1
+            [
+              (1, var ~side:`Src ~level:2 "i1" 8);
+              (-1, var ~side:`Dst ~level:2 "i2" 8);
+            ]
+        in
+        let common_ubs = [| 0; 8; 5 |] in
+        let p = Problem.numeric_of_equations ~n_common:3 ~common_ubs [ eq ] in
+        let show dvs = List.map Dirvec.to_string dvs in
+        Alcotest.(check (list string))
+          "piece" [ "(*, <, *)" ]
+          (show (Hierarchy.piece_directions p));
+        Alcotest.(check (list string))
+          "expanded" [ "(=, <, <)"; "(=, <, =)"; "(=, <, >)" ]
+          (show (Hierarchy.expand ~common_ubs (Hierarchy.piece_directions p))));
+  ]
+
 (* --- ddvec / classify --------------------------------------------------------- *)
 
 let misc_units =
@@ -830,6 +899,8 @@ let () =
       ("exact-props", List.map QCheck_alcotest.to_alcotest exact_props);
       ("hierarchy", hierarchy_units);
       ("hierarchy-props", List.map QCheck_alcotest.to_alcotest hierarchy_props);
+      ("piece-directions", piece_units);
+      ("piece-props", List.map QCheck_alcotest.to_alcotest piece_props);
       ("misc", misc_units);
       ("closed-form-props", List.map QCheck_alcotest.to_alcotest closed_form_props);
       ("pair-exhaustive", pair_exhaustive_units);
