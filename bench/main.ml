@@ -1218,7 +1218,7 @@ let oracle_report () =
 (* Minor words one [Algo.run] of the Figure-5 equation allocates.  The
    count is deterministic (no timing involved), so a fixed bound catches
    any return of the full 3^n_common hierarchy walk per piece, which
-   allocated ~22.3k words here; per-piece refinement allocates ~5.9k. *)
+   allocated ~22.3k words here; per-piece refinement allocates ~3.1k. *)
 let fig5_run_words_bound = 8000.
 
 let fig5_run_words () =
@@ -1231,6 +1231,32 @@ let fig5_run_words () =
   done;
   (Gc.minor_words () -. w0) /. float_of_int reps
 
+(* Minor words one [Cascade.run Cascade.delin] allocates, averaged over
+   every dependence problem of the polybench corpus: the solver half of
+   an engine miss, with no cache around it.  Deterministic like the
+   Figure-5 count.  Expanding each equation's vectors before meeting
+   them allocated ~2.9k words here; one expansion per problem after the
+   meets allocates ~1.1k. *)
+let miss_words_bound = 1600.
+
+let miss_words () =
+  let module Cascade = Dlz_engine.Cascade in
+  let cases = Dlz_oracle.Eqgen.polybench () in
+  let stats = Dlz_engine.Stats.create () in
+  let run () =
+    List.iter
+      (fun (c : Dlz_oracle.Eqgen.case) ->
+        ignore (Cascade.run ~stats ~env:c.env Cascade.delin c.problem))
+      cases
+  in
+  run ();
+  let reps = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    run ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (reps * List.length cases)
+
 (* A CI-sized slice of the parallel sweep: the reduced workload analyzed
    end-to-end at jobs=1 and jobs=4, one program per pool element, best
    of two trials each.  On a
@@ -1238,14 +1264,23 @@ let fig5_run_words () =
    (with 10% noise headroom) — the scheduler must never make parallel
    analysis slower than serial.  On a single-core host the comparison
    can only measure oversubscription, so the gate prints both numbers
-   and passes with a note.  The Figure-5 allocation bound is checked
-   first and independently of the scaling verdict. *)
+   and passes with a note.  The two allocation bounds (Figure 5, and a
+   polybench miss) are checked first and independently of the scaling
+   verdict. *)
 let perf_smoke () =
   let words = fig5_run_words () in
-  let alloc_ok = words <= fig5_run_words_bound in
+  let fig5_ok = words <= fig5_run_words_bound in
   Printf.printf "perf-smoke: Algo.run fig5 minor words=%.0f bound=%.0f %s\n"
     words fig5_run_words_bound
-    (if alloc_ok then "PASS" else "FAIL");
+    (if fig5_ok then "PASS" else "FAIL");
+  let words = miss_words () in
+  let miss_ok = words <= miss_words_bound in
+  Printf.printf
+    "perf-smoke: Cascade.run delin minor words per polybench problem=%.0f \
+     bound=%.0f %s\n"
+    words miss_words_bound
+    (if miss_ok then "PASS" else "FAIL");
+  let alloc_ok = fig5_ok && miss_ok in
   let progs =
     [| family_prog ~depth:2 ~extent:10; family_prog ~depth:3 ~extent:10;
        fig3_prog; mhl_prog; ib_prog |]

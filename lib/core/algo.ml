@@ -61,11 +61,20 @@ let piece_distance (piece : Depeq.t) =
       if Numth.divides a piece.c0 then Some (lvl, piece.c0 / a) else None
   | _ -> None
 
-(* Each piece's vectors keep [Star] at the common levels it has no
-   variable for (see {!Hierarchy.piece_directions}), so the running meet
-   stays over a few vectors; the one expansion to basic vectors happens
-   after the last piece. *)
-let run ?(policy = Optimal) ~n_common ~common_ubs eq =
+type scan = {
+  s_verdict : Verdict.t;
+  s_solved : bool;
+  s_dirvecs : Dirvec.t list;
+  s_distances : (int * int) list;
+}
+
+(* The Figure-4 scan.  Each piece's vectors keep [Star] at the common
+   levels it has no variable for (see {!Hierarchy.piece_directions}), so
+   the running meet stays over a few vectors; expanding them to basic
+   vectors is left to the caller.  With [trace] set, the scan also
+   records the separated pieces and one Figure-5 step per iteration;
+   otherwise it builds neither. *)
+let scan_eq ~trace ~policy ~n_common ~common_ubs eq =
   let eq = sort_terms eq in
   let terms = Array.of_list eq.terms in
   let n = Array.length terms in
@@ -107,8 +116,10 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
         in
         if not (group = [] && r = 0) then begin
           let piece = Depeq.make r group in
-          separated := Some piece;
-          pieces := piece :: !pieces;
+          if trace then begin
+            separated := Some piece;
+            pieces := piece :: !pieces
+          end;
           (match piece_distance piece with
           | Some (lvl, d) -> distances := (lvl, d) :: !distances
           | None -> ());
@@ -116,8 +127,10 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
             Hierarchy.piece_directions
               (Problem.numeric_of_equations ~n_common ~common_ubs [ piece ])
           in
+          (* The first set needs no meet with [all_star]: refinement
+             already returns it sorted and without duplicates. *)
+          dirvecs := if !solved then Dirvec.meet_sets !dirvecs nv else nv;
           solved := true;
-          dirvecs := Dirvec.meet_sets !dirvecs nv;
           if !dirvecs = [] then independent := true
         end;
         smin := 0;
@@ -126,18 +139,19 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
         c0 := Intx.sub !c0 r
       end
     end;
-    steps :=
-      {
-        k = !k + 1;
-        coeff = (if !k < n then Some terms.(!k).coeff else None);
-        smin = !smin;
-        smax = !smax;
-        gk;
-        r;
-        barrier;
-        separated = !separated;
-      }
-      :: !steps;
+    if trace then
+      steps :=
+        {
+          k = !k + 1;
+          coeff = (if !k < n then Some terms.(!k).coeff else None);
+          smin = !smin;
+          smax = !smax;
+          gk;
+          r;
+          barrier;
+          separated = !separated;
+        }
+        :: !steps;
     if (not !independent) && !k < n then begin
       let t = terms.(!k) in
       smin := Intx.add !smin (Intx.mul (Intx.neg_part t.coeff) t.var.v_ub);
@@ -145,21 +159,31 @@ let run ?(policy = Optimal) ~n_common ~common_ubs eq =
     end;
     incr k
   done;
-  let verdict =
-    if !independent || !dirvecs = [] then Verdict.Independent
-    else Verdict.Dependent
+  let scan =
+    {
+      s_verdict =
+        (if !independent then Verdict.Independent else Verdict.Dependent);
+      s_solved = !solved;
+      s_dirvecs = (if !independent then [] else !dirvecs);
+      s_distances = !distances;
+    }
   in
-  let dirvecs =
-    if verdict = Verdict.Independent then []
-    else if !solved then Hierarchy.expand ~common_ubs !dirvecs
-    else !dirvecs
-  in
+  (scan, List.rev !pieces, List.rev !steps)
+
+let scan ?(policy = Optimal) ~n_common ~common_ubs eq =
+  let s, _, _ = scan_eq ~trace:false ~policy ~n_common ~common_ubs eq in
+  s
+
+let run ?(policy = Optimal) ~n_common ~common_ubs eq =
+  let s, pieces, steps = scan_eq ~trace:true ~policy ~n_common ~common_ubs eq in
   {
-    verdict;
-    pieces = List.rev !pieces;
-    dirvecs;
-    distances = List.sort_uniq Stdlib.compare !distances;
-    steps = List.rev !steps;
+    verdict = s.s_verdict;
+    pieces;
+    dirvecs =
+      (if s.s_solved then Hierarchy.expand ~common_ubs s.s_dirvecs
+       else s.s_dirvecs);
+    distances = List.sort_uniq Stdlib.compare s.s_distances;
+    steps;
   }
 
 (* Independence-only scan: the inline Banerjee check plus the per-piece

@@ -62,14 +62,38 @@ val run :
   common_ubs:int array ->
   Depeq.t ->
   result
-(** Runs the algorithm.  Each separated equation's direction vectors
-    come from {!Dlz_deptest.Hierarchy.piece_directions} (GCD+Banerjee
-    over the common levels the piece touches); the sets are met on the
-    fly and expanded to basic vectors once at the end, which gives the
-    same vectors as refining every piece over the whole hierarchy.
+(** Runs the algorithm with its full Figure-5 trace.  Each separated
+    equation's direction vectors come from
+    {!Dlz_deptest.Hierarchy.piece_directions} (GCD+Banerjee over the
+    common levels the piece touches); the sets are met on the fly and
+    expanded to basic vectors once at the end, which gives the same
+    vectors as refining every piece over the whole hierarchy.
     [n_common]/[common_ubs] describe the common loops of the dependence
     pair (used to size direction vectors and check direction
     feasibility). *)
+
+type scan = {
+  s_verdict : Verdict.t;
+  s_solved : bool;  (** Whether some piece was solved for directions. *)
+  s_dirvecs : Dirvec.t list;
+      (** The met piece sets before expansion: vectors may keep [Star]
+          at levels no piece touched; [[]] when independent. *)
+  s_distances : (int * int) list;
+      (** As {!result.distances}, unsorted and possibly repeated. *)
+}
+
+val scan :
+  ?policy:residue_policy ->
+  n_common:int ->
+  common_ubs:int array ->
+  Depeq.t ->
+  scan
+(** The scan {!run} performs, without the trace records and without the
+    final expansion: [run]'s [dirvecs] are
+    [Hierarchy.expand ~common_ubs s_dirvecs] when [s_solved], and
+    [s_dirvecs] otherwise.  Expansion distributes over meets, so a
+    caller combining several equations meets their [s_dirvecs] and
+    expands once. *)
 
 val test : ?policy:residue_policy -> Depeq.t -> Verdict.t
 (** Independence-only entry point (no direction vectors computed for the

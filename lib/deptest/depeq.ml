@@ -45,31 +45,27 @@ let coeffs eq = List.map (fun t -> t.coeff) eq.terms
    [common_pairs] below stays for callers that want the paired view;
    these are for the hot tests, which must not cons per equation. *)
 
-let has_side eq ~level side =
-  let rec go = function
-    | [] -> false
-    | t :: rest ->
-        (t.var.v_level = level && t.var.v_side = side) || go rest
-  in
-  go eq.terms
+let matches t ~level side = t.var.v_level = level && t.var.v_side = side
 
-let find_coeff eq ~level side =
-  let rec go = function
-    | [] -> 0
-    | t :: rest ->
-        if t.var.v_level = level && t.var.v_side = side then t.coeff
-        else go rest
-  in
-  go eq.terms
+(* Top-level walks: a local [go] would capture [level] and [side] and
+   cost a closure per call. *)
+let rec has_side_in ~level side = function
+  | [] -> false
+  | t :: rest -> matches t ~level side || has_side_in ~level side rest
 
-let find_ub eq ~level side =
-  let rec go = function
-    | [] -> 0
-    | t :: rest ->
-        if t.var.v_level = level && t.var.v_side = side then t.var.v_ub
-        else go rest
-  in
-  go eq.terms
+let rec coeff_in ~level side = function
+  | [] -> 0
+  | t :: rest ->
+      if matches t ~level side then t.coeff else coeff_in ~level side rest
+
+let rec ub_in ~level side = function
+  | [] -> 0
+  | t :: rest ->
+      if matches t ~level side then t.var.v_ub else ub_in ~level side rest
+
+let has_side eq ~level side = has_side_in ~level side eq.terms
+let find_coeff eq ~level side = coeff_in ~level side eq.terms
+let find_ub eq ~level side = ub_in ~level side eq.terms
 
 let lhs_interval eq =
   (* [c0 + Σ coeff*[0, ub]] accumulated on two plain ints — same hull

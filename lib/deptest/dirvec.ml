@@ -41,9 +41,31 @@ let meet a b =
   done;
   if !ok then Some result else None
 
+(* The order [Stdlib.compare] gives [dir array]: length first, then
+   element by element in constructor order.  Written out so sorting a
+   set of vectors never goes through the polymorphic comparison. *)
+let rank = function
+  | Lt -> 0
+  | Eq -> 1
+  | Gt -> 2
+  | Le -> 3
+  | Ge -> 4
+  | Ne -> 5
+  | Star -> 6
+
+let rec compare_from (a : t) (b : t) i =
+  if i = Array.length a then 0
+  else
+    let c = Int.compare (rank a.(i)) (rank b.(i)) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+let compare (a : t) (b : t) =
+  let n = Array.length a and m = Array.length b in
+  if n <> m then Int.compare n m else compare_from a b 0
+
 let meet_sets dvs nvs =
   List.concat_map (fun dv -> List.filter_map (fun nv -> meet dv nv) nvs) dvs
-  |> List.sort_uniq Stdlib.compare
+  |> List.sort_uniq compare
 
 let join a b =
   if Array.length a <> Array.length b then
@@ -90,7 +112,6 @@ let rev_dir = function
 
 let reverse v = Array.map rev_dir v
 let equal a b = a = b
-let compare = Stdlib.compare
 
 let dir_to_string = function
   | Lt -> "<"

@@ -70,7 +70,12 @@ val reverse : t -> t
     dependence read in the opposite direction. *)
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** The order of [Stdlib.compare] on [dir array] (length first, then
+    componentwise with [Lt < Eq < Gt < Le < Ge < Ne < Star]), without
+    the polymorphic comparison. *)
+
 val dir_to_string : dir -> string
 val to_string : t -> string
 (** Printed like ( *, <, = ). *)

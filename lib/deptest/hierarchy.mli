@@ -34,9 +34,18 @@ val piece_directions : Problem.numeric -> Dirvec.t list
     sets of several pieces should {!expand} once, after the last meet. *)
 
 val expand : common_ubs:int array -> Dirvec.t list -> Dirvec.t list
-(** Replaces every [Star] with each basic direction {!feasible_dir}
-    admits for that level's bound (levels past [common_ubs] admit all
-    three), sorted and without duplicates. *)
+(** Replaces every relation with each basic direction it admits that
+    {!feasible_dir} allows for that level's bound (levels past
+    [common_ubs] admit all three), sorted and without duplicates.  A
+    vector with a level admitting no feasible direction (a [<] where the
+    bound is 0) expands to nothing.  Expansion works level by level and
+    [=] is always feasible, so
+    [expand (meet_sets a b) = meet_sets (expand a) (expand b)], and a
+    vector of [Star]s and feasible basic directions always expands to
+    at least one vector. *)
+
+val expands : common_ubs:int array -> Dirvec.t -> bool
+(** Whether {!expand} keeps at least one vector of the given one. *)
 
 val directions_exact :
   ?budget:Dlz_base.Budget.t -> Problem.numeric -> Dirvec.t list

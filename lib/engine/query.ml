@@ -216,15 +216,19 @@ let global_cache = create_cache ()
 let shards cache = Array.length cache.shards
 let shard_capacity cache = cache.shard_capacity
 
+(* Only occupied buckets are written: an atomic store costs far more
+   than the load that finds a bucket already empty. *)
 let flush_locked sh =
-  Array.iter (fun b -> Atomic.set b []) sh.s_buckets;
+  Array.iter
+    (fun b -> if Atomic.get b != [] then Atomic.set b [])
+    sh.s_buckets;
   sh.s_count <- 0
 
 let clear cache =
   Array.iter
     (fun sh ->
       Mutex.lock sh.s_lock;
-      flush_locked sh;
+      if sh.s_count > 0 then flush_locked sh;
       Atomic.set sh.s_flushes 0;
       Mutex.unlock sh.s_lock)
     cache.shards

@@ -28,45 +28,57 @@ let numeric_common_ubs (p : Problem.t) =
   in
   go [] p.common_ubs
 
+(* Every equation's set is met before any is expanded: numeric
+   equations contribute their unexpanded {!Algo.scan} sets, and the one
+   expansion to basic vectors runs at the end, only when some numeric
+   equation solved a piece (as [Algo.run] does for one equation).
+   Expansion works level by level, so it distributes over meets; a set
+   met with a symbolic equation's vectors can still expand to nothing
+   (a [<] at a level of bound 0), which is checked after each meet. *)
 let run_delinearize ~env ~budget (p : Problem.t) =
   let n_common = p.Problem.n_common in
-  let num_ubs = numeric_common_ubs p in
+  let num_ubs = Option.map Array.of_list (numeric_common_ubs p) in
   let analyze_eq (eq : Symeq.t) =
     try
       match (Symeq.to_numeric eq, num_ubs) with
-      | Some neq, Some ubs ->
-          let r = Algo.run ~n_common ~common_ubs:(Array.of_list ubs) neq in
-          ( r.Algo.verdict,
-            r.Algo.dirvecs,
-            List.map (fun (l, d) -> (l, Poly.const d)) r.Algo.distances )
+      | Some neq, Some common_ubs ->
+          let s = Algo.scan ~n_common ~common_ubs neq in
+          ( s.Algo.s_verdict,
+            s.Algo.s_dirvecs,
+            s.Algo.s_solved,
+            List.map (fun (l, d) -> (l, Poly.const d)) s.Algo.s_distances )
       | _ ->
           let r = Symalgo.run ~env ~n_common eq in
-          (r.Symalgo.verdict, r.Symalgo.dirvecs, r.Symalgo.distances)
+          (r.Symalgo.verdict, r.Symalgo.dirvecs, false, r.Symalgo.distances)
     with Dlz_base.Intx.Overflow _ ->
       (* Coefficient/bound products past 63 bits: degrade soundly. *)
-      (Verdict.Dependent, [ Dirvec.all_star n_common ], [])
+      (Verdict.Dependent, [ Dirvec.all_star n_common ], false, [])
   in
-  let verdict, dirvecs, distances =
-    List.fold_left
-      (fun (v, dvs, dists) eq ->
-        match v with
-        | Verdict.Independent -> (v, dvs, dists)
-        | _ ->
-            Dlz_base.Budget.spend budget;
-            let ve, nv, de = analyze_eq eq in
-            if ve = Verdict.Independent then (Verdict.Independent, [], dists)
-            else
-              let met = Dirvec.meet_sets dvs nv in
-              if met = [] then (Verdict.Independent, [], dists)
-              else (Verdict.Dependent, met, de @ dists))
-      (Verdict.Dependent, [ Dirvec.all_star n_common ], [])
-      p.Problem.equations
+  let expands solved dvs =
+    match num_ubs with
+    | Some common_ubs when solved ->
+        List.exists (Hierarchy.expands ~common_ubs) dvs
+    | _ -> dvs <> []
   in
-  match verdict with
-  | Verdict.Independent -> Strategy.decided verdict
-  | _ ->
-      Strategy.decided verdict ~dirvecs
-        ~distances:(List.sort_uniq Stdlib.compare distances)
+  let rec fold dvs solved dists = function
+    | [] ->
+        let dirvecs =
+          match num_ubs with
+          | Some common_ubs when solved -> Hierarchy.expand ~common_ubs dvs
+          | _ -> dvs
+        in
+        Strategy.decided Verdict.Dependent ~dirvecs
+          ~distances:(List.sort_uniq Stdlib.compare dists)
+    | eq :: rest ->
+        Dlz_base.Budget.spend budget;
+        let ve, nv, se, de = analyze_eq eq in
+        if ve = Verdict.Independent then Strategy.decided Verdict.Independent
+        else
+          let dvs = Dirvec.meet_sets dvs nv and solved = solved || se in
+          if expands solved dvs then fold dvs solved (de @ dists) rest
+          else Strategy.decided Verdict.Independent
+  in
+  fold [ Dirvec.all_star n_common ] false [] p.Problem.equations
 
 let delinearize =
   {

@@ -123,6 +123,15 @@ let dirvec_props =
       (QCheck.pair arb_dir (QCheck.int_range (-3) 3)) (fun (d, delta) ->
         Dirvec.admits d delta
         = (Dirvec.meet_dir (Dirvec.of_delta delta) d <> None));
+    (* Sorted vector sets reach reports in this order, so it must stay
+       the one the polymorphic comparison gave. *)
+    QCheck.Test.make ~name:"compare has the sign of Stdlib.compare"
+      ~count:2000
+      (let vec = QCheck.array_of_size (QCheck.Gen.int_range 0 4) arb_dir in
+       QCheck.pair vec vec)
+      (fun (a, b) ->
+        Int.compare (Dirvec.compare a b) 0
+        = Int.compare (Stdlib.compare a b) 0);
   ]
 
 (* --- random equations and soundness --------------------------------------- *)
