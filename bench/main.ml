@@ -1257,6 +1257,43 @@ let miss_words () =
   done;
   (Gc.minor_words () -. w0) /. float_of_int (reps * List.length cases)
 
+(* Minor words [Analyze.deps_of_solved] plus [Depgraph.of_pairs]
+   allocate per polybench kernel, over pairs solved beforehand: the
+   summarizing half of a warm kernel, with no query.  Deterministic like
+   the other two counts.  Covering each candidate join through a list
+   of its decomposition, and building edges from decomposition lists,
+   allocated ~13.9k words here; packed basic-vector sets allocate
+   ~4.3k. *)
+let summary_words_bound = 5600.
+
+let summary_words () =
+  let kernels =
+    List.map
+      (fun (k : Dlz_corpus.Polybench.kernel) ->
+        let prog =
+          Dlz_passes.Pipeline.prepare_program
+            (Dlz_passes.Pointers.lower
+               (Dlz_frontend.C_parser.parse k.Dlz_corpus.Polybench.k_source))
+        in
+        let accs, env = Dlz_ir.Access.of_program prog in
+        (accs, An.pass ~env accs))
+      Dlz_corpus.Polybench.kernels
+  in
+  let run () =
+    List.iter
+      (fun (accs, solved) ->
+        ignore (An.deps_of_solved solved);
+        ignore (Dlz_vec.Depgraph.of_pairs accs solved))
+      kernels
+  in
+  run ();
+  let reps = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    run ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (reps * List.length kernels)
+
 (* A CI-sized slice of the parallel sweep: the reduced workload analyzed
    end-to-end at jobs=1 and jobs=4, one program per pool element, best
    of two trials each.  On a
@@ -1264,9 +1301,9 @@ let miss_words () =
    (with 10% noise headroom) — the scheduler must never make parallel
    analysis slower than serial.  On a single-core host the comparison
    can only measure oversubscription, so the gate prints both numbers
-   and passes with a note.  The two allocation bounds (Figure 5, and a
-   polybench miss) are checked first and independently of the scaling
-   verdict. *)
+   and passes with a note.  The three allocation bounds (Figure 5, a
+   polybench miss, and a polybench kernel's rows and edges) are checked
+   first and independently of the scaling verdict. *)
 let perf_smoke () =
   let words = fig5_run_words () in
   let fig5_ok = words <= fig5_run_words_bound in
@@ -1280,7 +1317,14 @@ let perf_smoke () =
      bound=%.0f %s\n"
     words miss_words_bound
     (if miss_ok then "PASS" else "FAIL");
-  let alloc_ok = fig5_ok && miss_ok in
+  let words = summary_words () in
+  let summary_ok = words <= summary_words_bound in
+  Printf.printf
+    "perf-smoke: deps_of_solved + Depgraph.of_pairs minor words per \
+     polybench kernel=%.0f bound=%.0f %s\n"
+    words summary_words_bound
+    (if summary_ok then "PASS" else "FAIL");
+  let alloc_ok = fig5_ok && miss_ok && summary_ok in
   let progs =
     [| family_prog ~depth:2 ~extent:10; family_prog ~depth:3 ~extent:10;
        fig3_prog; mhl_prog; ib_prog |]

@@ -70,6 +70,7 @@ val reverse : t -> t
     dependence read in the opposite direction. *)
 
 val equal : t -> t -> bool
+(** [compare a b = 0]. *)
 
 val compare : t -> t -> int
 (** The order of [Stdlib.compare] on [dir array] (length first, then
@@ -81,3 +82,32 @@ val to_string : t -> string
 (** Printed like ( *, <, = ). *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Packed sets of basic vectors}
+
+    A basic vector of [n] levels packs into a key of ⌈n/31⌉ integers
+    (one when [n = 0]): two bits a level ([<] = 0, [=] = 1, [>] = 2),
+    31 levels a word, the outermost level most significant.  Keys of
+    one length compare word by word in {!compare} order, so a set is a
+    sorted, deduplicated array of keys and membership a binary search.
+    Nothing here is exponential in [n] except {!basics}, whose result
+    has the size of the expansion it returns. *)
+
+type basic_set
+
+val basic_set : n:int -> t list -> basic_set
+(** The basic members of length [n] of a list.  Other members are
+    ignored: a non-basic member does not stand for its basic vectors. *)
+
+val covers_join : basic_set -> t -> t -> bool
+(** [covers_join s a b] iff [join a b] has the set's length and every
+    basic vector it admits is a member of [s].  The basic vectors are
+    walked as keys in ascending order, stopping at the first miss;
+    neither the join nor any vector is built (the walk writes a scratch
+    key held by the set, so one set must not be walked from two domains
+    at once).  Raises [Invalid_argument] when [a] and [b] differ in
+    length, as {!join} does. *)
+
+val basics : t list -> t list
+(** Every basic vector some member of the list admits, sorted by
+    {!compare}, without duplicates. *)

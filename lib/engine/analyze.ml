@@ -46,45 +46,40 @@ let vectors ?mode ?cascade ?budget ~env p =
     degraded = r.Strategy.degraded;
   }
 
-(* Basic direction vectors admitted by a (possibly non-basic) vector. *)
-let decomposition dv =
-  Array.fold_right
-    (fun d acc ->
-      List.concat_map
-        (fun child -> List.map (fun tail -> child :: tail) acc)
-        (Dirvec.refinements d))
-    dv [ [] ]
-  |> List.map Array.of_list
-
 let summarize ~self vecs =
-  let identity n = Array.make n Dirvec.Eq in
-  let covered set dv =
-    List.for_all
-      (fun basic ->
-        List.exists (Dirvec.equal basic) set
-        || (self && Dirvec.equal basic (identity (Array.length basic))))
-      (decomposition dv)
-  in
-  let rec merge groups =
-    let rec try_pairs = function
-      | [] -> None
-      | g :: rest -> (
-          let candidate =
-            List.find_opt (fun h -> covered vecs (Dirvec.join g h)) rest
-          in
-          match candidate with
-          | Some h ->
-              Some
-                (Dirvec.join g h
-                :: List.filter (fun x -> not (Dirvec.equal x h)) rest)
-          | None -> (
-              match try_pairs rest with
-              | Some rest' -> Some (g :: rest')
-              | None -> None))
-    in
-    match try_pairs groups with Some g' -> merge g' | None -> groups
-  in
-  merge (List.sort_uniq Dirvec.compare vecs)
+  match List.sort_uniq Dirvec.compare vecs with
+  | ([] | [ _ ]) as groups -> groups
+  | g :: _ as groups ->
+      (* Every join [merge] tests has the first group's length: a group
+         of another length makes [Dirvec.join] raise first.  A self
+         pair's set also holds the all-[=] vector. *)
+      let n = Array.length g in
+      let members =
+        if self then
+          List.merge Dirvec.compare [ Array.make n Dirvec.Eq ] groups
+        else groups
+      in
+      let set = Dirvec.basic_set ~n members in
+      let rec merge groups =
+        let rec try_pairs = function
+          | [] -> None
+          | g :: rest -> (
+              let candidate =
+                List.find_opt (fun h -> Dirvec.covers_join set g h) rest
+              in
+              match candidate with
+              | Some h ->
+                  Some
+                    (Dirvec.join g h
+                    :: List.filter (fun x -> not (Dirvec.equal x h)) rest)
+              | None -> (
+                  match try_pairs rest with
+                  | Some rest' -> Some (g :: rest')
+                  | None -> None))
+        in
+        match try_pairs groups with Some g' -> merge g' | None -> groups
+      in
+      merge groups
 
 let apply_distances dv distances =
   List.fold_left

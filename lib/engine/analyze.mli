@@ -5,8 +5,8 @@
     {!Engine} — a memoized strategy-cascade query — and summarize the
     result the way the paper's Figure 3 does: one row per dependent
     pair, source = the writing reference (textual order breaks
-    write-write ties), vectors joined when the join's decomposition is
-    fully covered.
+    write-write ties), vectors joined when every basic vector of the
+    join is in the answer.
 
     The historical closed modes survive as preset cascades
     ({!Cascade.delin}, {!Cascade.classic}, {!Cascade.exact}); any
@@ -66,14 +66,11 @@ val vectors :
 (** Direction vectors for one problem, answered through the memoized
     engine query path. *)
 
-val decomposition : Dirvec.t -> Dirvec.t list
-(** All basic direction vectors admitted by a vector (3^k worst case for
-    k [*] components). *)
-
 val summarize : self:bool -> Dirvec.t list -> Dirvec.t list
-(** Greedy sound summarization: vectors are merged when the join's
-    decomposition is covered by the set ([self] pairs implicitly cover
-    the all-[=] identity vector). *)
+(** Greedy sound summarization: two vectors are merged when their join
+    is covered by the set, that is when every basic vector of the join
+    is a basic member of the set ([self] pairs also count the all-[=]
+    identity vector as a member).  A non-basic member covers nothing. *)
 
 val deps_of_pair : Engine.pair -> Strategy.result -> dep list
 (** The dependence rows of one pair given its answer: summarization,

@@ -31,46 +31,64 @@ let classify_vec v =
   in
   go 0
 
-(* Edges contributed by one candidate pair, from its answer. *)
-let edges_of_pair (pr : Engine.pair) (r : Strategy.result) =
+let is_identity v = Array.for_all (function Dirvec.Eq -> true | _ -> false) v
+
+(* Edges contributed by one candidate pair, from its answer, consed
+   onto [acc]: one per basic vector the answer admits. *)
+let edges_of_pair (pr : Engine.pair) (r : Strategy.result) acc =
   let a = pr.Engine.src and b = pr.Engine.dst in
-  if r.Strategy.verdict = Verdict.Independent then []
+  let add src dst vec level acc =
+    {
+      e_src = src.Access.stmt_id;
+      e_dst = dst.Access.stmt_id;
+      e_vec = vec;
+      e_level = level;
+      e_kind = Classify.kind ~src:src.Access.rw ~dst:dst.Access.rw;
+    }
+    :: acc
+  in
+  let edge acc v =
+    (* The identity instance of a single reference is not a
+       dependence. *)
+    if pr.Engine.self && is_identity v then acc
+    else
+      match classify_vec v with
+      | `Forward lvl -> add a b v lvl acc
+      | `Backward lvl -> add b a (Dirvec.reverse v) lvl acc
+      | `LoopIndependent ->
+          (* Same statement: the read executes before the write;
+             within-statement flow does not constrain loop
+             rearrangement.  Across statements, orient by textual
+             order. *)
+          if a.Access.stmt_id < b.Access.stmt_id then add a b v max_int acc
+          else if b.Access.stmt_id < a.Access.stmt_id then
+            add b a v max_int acc
+          else acc
+  in
+  if r.Strategy.verdict = Verdict.Independent then acc
+  else List.fold_left edge acc (Dirvec.basics r.Strategy.dirvecs)
+
+let kind_rank = function
+  | Classify.True -> 0
+  | Classify.Anti -> 1
+  | Classify.Output -> 2
+  | Classify.Input -> 3
+
+(* [Stdlib.compare]'s order on edges (fields in declaration order),
+   without the polymorphic comparison. *)
+let compare_edge x y =
+  let c = Int.compare x.e_src y.e_src in
+  if c <> 0 then c
   else
-    let basics =
-      List.concat_map Analyze.decomposition r.Strategy.dirvecs
-      |> List.sort_uniq Dirvec.compare
-      |> List.filter (fun v ->
-             (* The identity instance of a single reference is
-                not a dependence. *)
-             not (pr.Engine.self && Array.for_all (( = ) Dirvec.Eq) v))
-    in
-    List.concat_map
-      (fun v ->
-        let add src dst vec level =
-          let kind = Classify.kind ~src:src.Access.rw ~dst:dst.Access.rw in
-          [
-            {
-              e_src = src.Access.stmt_id;
-              e_dst = dst.Access.stmt_id;
-              e_vec = vec;
-              e_level = level;
-              e_kind = kind;
-            };
-          ]
-        in
-        match classify_vec v with
-        | `Forward lvl -> add a b v lvl
-        | `Backward lvl -> add b a (Dirvec.reverse v) lvl
-        | `LoopIndependent ->
-            (* Same statement: the read executes before the
-               write; within-statement flow does not constrain
-               loop rearrangement.  Across statements, orient
-               by textual order. *)
-            if a.Access.stmt_id < b.Access.stmt_id then add a b v max_int
-            else if b.Access.stmt_id < a.Access.stmt_id then
-              add b a v max_int
-            else [])
-      basics
+    let c = Int.compare x.e_dst y.e_dst in
+    if c <> 0 then c
+    else
+      let c = Dirvec.compare x.e_vec y.e_vec in
+      if c <> 0 then c
+      else
+        let c = Int.compare x.e_level y.e_level in
+        if c <> 0 then c
+        else Int.compare (kind_rank x.e_kind) (kind_rank y.e_kind)
 
 let of_pairs accs solved =
   let nstmts =
@@ -79,12 +97,13 @@ let of_pairs accs solved =
   let stmt_names = Array.make nstmts "" in
   List.iter (fun a -> stmt_names.(a.Access.stmt_id) <- a.Access.stmt_name) accs;
   let edges =
-    List.concat_map
-      (fun (s : Analyze.solved) -> edges_of_pair s.Analyze.pair s.Analyze.settled)
-      solved
+    List.fold_left
+      (fun acc (s : Analyze.solved) ->
+        edges_of_pair s.Analyze.pair s.Analyze.settled acc)
+      [] solved
   in
   (* Deduplicate identical edges (also fixes the final order). *)
-  let edges = List.sort_uniq Stdlib.compare edges in
+  let edges = List.sort_uniq compare_edge edges in
   { nstmts; stmt_names; edges }
 
 let build ?mode ?cascade ?budget ?(env = Assume.empty) prog =

@@ -8,37 +8,36 @@ type loop_report = {
   lr_carried : int;
 }
 
-(* Statement ids (program order of assignments) inside each loop. *)
+(* Each loop with the statement ids inside it.  Statements are numbered
+   in program order, so a loop's ids are one range [first, last). *)
 let loops_with_stmts (p : Ast.program) =
   let counter = ref 0 in
   let loops = ref [] in
-  let rec go path level = function
-    | Ast.Assign _ ->
-        let id = !counter in
-        incr counter;
-        [ id ]
-    | Ast.Continue _ -> []
+  let rec go rev_path level = function
+    | Ast.Assign _ -> incr counter
+    | Ast.Continue _ -> ()
     | Ast.Do d ->
-        let inner =
-          List.concat_map (go (path @ [ d.var ]) (level + 1)) d.body
-        in
-        loops := (d.var, level + 1, path, inner) :: !loops;
-        inner
+        let first = !counter in
+        List.iter (go (d.var :: rev_path) (level + 1)) d.body;
+        loops :=
+          (d.var, level + 1, List.rev rev_path, first, !counter) :: !loops
   in
-  List.iter (fun s -> ignore (go [] 0 s)) p.body;
+  List.iter (go [] 0) p.body;
   List.rev !loops
 
 let of_graph p (graph : Depgraph.t) =
   List.map
-    (fun (var, level, path, stmts) ->
+    (fun (var, level, path, first, last) ->
+      let inside id = first <= id && id < last in
       let carried =
-        List.length
-          (List.filter
-             (fun (e : Depgraph.edge) ->
-               e.Depgraph.e_level = level
-               && List.mem e.Depgraph.e_src stmts
-               && List.mem e.Depgraph.e_dst stmts)
-             graph.Depgraph.edges)
+        List.fold_left
+          (fun n (e : Depgraph.edge) ->
+            if
+              e.Depgraph.e_level = level
+              && inside e.Depgraph.e_src && inside e.Depgraph.e_dst
+            then n + 1
+            else n)
+          0 graph.Depgraph.edges
       in
       {
         lr_var = var;

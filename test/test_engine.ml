@@ -708,6 +708,275 @@ let expansion_units =
           (decided_dirvecs p));
   ]
 
+(* --- summarizing rows and edges over packed basic-vector sets ----------- *)
+
+(* The list-based summarization and edge construction the packed sets
+   replaced: a join is covered when each vector of its decomposition
+   equals a member (or is the identity of a self pair), and a pair's
+   edges come from the sorted union of its vectors' decompositions.
+   Rows and edges must not change. *)
+let ref_decomposition dv =
+  Array.fold_right
+    (fun d acc ->
+      List.concat_map
+        (fun child -> List.map (fun tail -> child :: tail) acc)
+        (Dirvec.refinements d))
+    dv [ [] ]
+  |> List.map Array.of_list
+
+let ref_summarize ~self vecs =
+  let identity n = Array.make n Dirvec.Eq in
+  let covered set dv =
+    List.for_all
+      (fun basic ->
+        List.exists (( = ) basic) set
+        || (self && basic = identity (Array.length basic)))
+      (ref_decomposition dv)
+  in
+  let rec merge groups =
+    let rec try_pairs = function
+      | [] -> None
+      | g :: rest -> (
+          match
+            List.find_opt (fun h -> covered vecs (Dirvec.join g h)) rest
+          with
+          | Some h ->
+              Some (Dirvec.join g h :: List.filter (fun x -> x <> h) rest)
+          | None -> (
+              match try_pairs rest with
+              | Some rest' -> Some (g :: rest')
+              | None -> None))
+    in
+    match try_pairs groups with Some g' -> merge g' | None -> groups
+  in
+  merge (List.sort_uniq compare vecs)
+
+let ref_basics vecs =
+  List.sort_uniq compare (List.concat_map ref_decomposition vecs)
+
+let ref_edges_of_pair (pr : Engine.pair) (r : Strategy.result) =
+  let a = pr.Engine.src and b = pr.Engine.dst in
+  if r.Strategy.verdict = Verdict.Independent then []
+  else
+    ref_basics r.Strategy.dirvecs
+    |> List.filter (fun v ->
+           not (pr.Engine.self && Array.for_all (( = ) Dirvec.Eq) v))
+    |> List.concat_map (fun v ->
+           let add src dst vec level =
+             [
+               {
+                 Depgraph.e_src = src.Access.stmt_id;
+                 e_dst = dst.Access.stmt_id;
+                 e_vec = vec;
+                 e_level = level;
+                 e_kind =
+                   Dlz_deptest.Classify.kind ~src:src.Access.rw
+                     ~dst:dst.Access.rw;
+               };
+             ]
+           in
+           let rec carrier i =
+             if i = Array.length v then None
+             else if v.(i) = Dirvec.Eq then carrier (i + 1)
+             else Some (i + 1, v.(i))
+           in
+           match carrier 0 with
+           | Some (lvl, Dirvec.Gt) -> add b a (Dirvec.reverse v) lvl
+           | Some (lvl, _) -> add a b v lvl
+           | None ->
+               if a.Access.stmt_id < b.Access.stmt_id then add a b v max_int
+               else if b.Access.stmt_id < a.Access.stmt_id then
+                 add b a v max_int
+               else [])
+
+let ref_edges solved =
+  List.concat_map
+    (fun (s : Analyze.solved) ->
+      ref_edges_of_pair s.Analyze.pair s.Analyze.settled)
+    solved
+  |> List.sort_uniq compare
+
+let edges accs solved = (Depgraph.of_pairs accs solved).Depgraph.edges
+
+let answer ?(verdict = Verdict.Dependent) dirvecs =
+  {
+    Strategy.verdict;
+    dirvecs;
+    distances = [];
+    decided_by = "test";
+    degraded = [];
+  }
+
+(* One pair of [pr]'s accesses, answered with [r]. *)
+let solved_as (pr : Engine.pair) ~self r =
+  { Analyze.pair = { pr with Engine.self }; first = r; settled = r }
+
+let show_vecs vecs = String.concat " " (List.map Dirvec.to_string vecs)
+
+let check_vecs what expected got =
+  if expected <> got then
+    Alcotest.failf "%s: expected %s, got %s" what (show_vecs expected)
+      (show_vecs got)
+
+(* Three statements' accesses: a same-statement pair, a forward pair
+   and a backward pair, whose edges orient differently. *)
+let edge_accs, edge_pairs =
+  let accs, _ =
+    accesses
+      {|      DIMENSION A(200), B(200)
+      DO I = 0, 99
+        A(I+1) = A(I)
+        B(I) = A(I+2)
+      ENDDO
+|}
+  in
+  (accs, Array.of_list (Engine.pairs accs))
+
+let gen_dir ~basic =
+  QCheck.Gen.oneofl
+    (if basic then [ Dirvec.Lt; Dirvec.Eq; Dirvec.Gt ]
+     else Dirvec.[ Lt; Eq; Gt; Le; Ge; Ne; Star ])
+
+(* n = 0..5 levels; each vector is basic or arbitrary. *)
+let gen_summary_case =
+  let open QCheck.Gen in
+  let* n = int_range 0 5 in
+  let* count = int_range 0 7 in
+  let* vecs =
+    list_repeat count
+      (let* basic = frequency [ (3, return true); (1, return false) ] in
+       array_repeat n (gen_dir ~basic))
+  in
+  let* self = bool in
+  let* pick = int_bound (Array.length edge_pairs - 1) in
+  let* independent = frequency [ (9, return false); (1, return true) ] in
+  return (vecs, self, pick, independent)
+
+let print_summary_case (vecs, self, pick, independent) =
+  Printf.sprintf "self=%b pair=%d independent=%b vecs=[%s]" self pick
+    independent (show_vecs vecs)
+
+let summary_props =
+  [
+    QCheck.Test.make ~name:"packed = list-based summaries" ~count:1500
+      (QCheck.make ~print:print_summary_case gen_summary_case)
+      (fun (vecs, self, pick, independent) ->
+        let verdict =
+          if independent then Verdict.Independent else Verdict.Dependent
+        in
+        let solved =
+          [ solved_as edge_pairs.(pick) ~self (answer ~verdict vecs) ]
+        in
+        Analyze.summarize ~self vecs = ref_summarize ~self vecs
+        && Dirvec.basics vecs = ref_basics vecs
+        && edges edge_accs solved = ref_edges solved);
+  ]
+
+(* The polybench kernels' accesses and settled answers. *)
+let polybench_solved () =
+  List.map
+    (fun (k : Dlz_corpus.Polybench.kernel) ->
+      let prog =
+        Pipeline.prepare_program
+          (Dlz_passes.Pointers.lower
+             (Dlz_frontend.C_parser.parse k.Dlz_corpus.Polybench.k_source))
+      in
+      let accs, env = Access.of_program prog in
+      (k.Dlz_corpus.Polybench.k_name, accs, Analyze.pass ~env accs))
+    Dlz_corpus.Polybench.kernels
+
+(* A 40-level vector: [<] everywhere except the given levels. *)
+let deep ?(n = 40) levels =
+  Array.init n (fun i ->
+      match List.assoc_opt i levels with Some d -> d | None -> Dirvec.Lt)
+
+let summary_units =
+  [
+    Alcotest.test_case "polybench pairs match the lists" `Quick (fun () ->
+        let kernels = polybench_solved () in
+        Alcotest.(check int) "every pair" 266
+          (List.fold_left (fun n (_, _, s) -> n + List.length s) 0 kernels);
+        List.iter
+          (fun (name, accs, solved) ->
+            if edges accs solved <> ref_edges solved then
+              Alcotest.failf "%s: edges differ" name;
+            List.iter
+              (fun (s : Analyze.solved) ->
+                let vecs = s.Analyze.settled.Strategy.dirvecs in
+                List.iter
+                  (fun self ->
+                    check_vecs name (ref_summarize ~self vecs)
+                      (Analyze.summarize ~self vecs);
+                    let one =
+                      [ solved_as s.Analyze.pair ~self s.Analyze.settled ]
+                    in
+                    if edges accs one <> ref_edges one then
+                      Alcotest.failf "%s: pair edges differ (self=%b)" name
+                        self)
+                  [ true; false ])
+              solved)
+          kernels);
+    Alcotest.test_case "non-basic members cover nothing" `Quick (fun () ->
+        (* (<) joined with ( * ) is ( * ), whose [=] and [>] are not basic
+           members: a ( * ) member does not stand for them. *)
+        let vecs = [ [| Dirvec.Star |]; [| Dirvec.Lt |] ] in
+        check_vecs "( * ) and (<)" [ [| Dirvec.Lt |]; [| Dirvec.Star |] ]
+          (Analyze.summarize ~self:false vecs);
+        (* (<) joined with (<=) is (<=): its [=] is covered only by a
+           self pair's identity. *)
+        let vecs = [ [| Dirvec.Le |]; [| Dirvec.Lt |] ] in
+        check_vecs "self" [ [| Dirvec.Le |] ]
+          (Analyze.summarize ~self:true vecs);
+        check_vecs "not self" [ [| Dirvec.Lt |]; [| Dirvec.Le |] ]
+          (Analyze.summarize ~self:false vecs));
+    Alcotest.test_case "basics of mixed lengths" `Quick (fun () ->
+        (* Shorter vectors sort first, as in [Dirvec.compare]. *)
+        let vecs =
+          Dirvec.[ [| Lt; Star |]; [||]; [| Ne |]; [| Eq; Le |]; [| Gt |] ]
+        in
+        check_vecs "basics" (ref_basics vecs) (Dirvec.basics vecs));
+    Alcotest.test_case "40 levels span two key words" `Quick (fun () ->
+        (* Levels 3 and 35 sit in different words of a key: (<,=) and
+           (=,<) over them must not merge, (<), (=), (>) at level 38 must. *)
+        let split =
+          [ deep [ (3, Dirvec.Lt); (35, Dirvec.Eq) ];
+            deep [ (3, Dirvec.Eq); (35, Dirvec.Lt) ] ]
+        in
+        let spread =
+          List.map (fun d -> deep [ (38, d) ]) Dirvec.[ Lt; Eq; Gt ]
+        in
+        List.iter
+          (fun (what, vecs, rows) ->
+            let got = Analyze.summarize ~self:false vecs in
+            Alcotest.(check int) what rows (List.length got);
+            check_vecs what (ref_summarize ~self:false vecs) got)
+          [ ("split", split, 2); ("spread", spread, 1);
+            ("both", split @ spread, 3) ];
+        let solved vecs =
+          [ solved_as edge_pairs.(2) ~self:false (answer vecs) ]
+        in
+        let stars =
+          [ deep [ (3, Dirvec.Le); (35, Dirvec.Star) ];
+            deep [ (39, Dirvec.Ne) ] ]
+        in
+        (* 2 * 3 + 2 vectors, all-[<] counted once. *)
+        Alcotest.(check int) "basics" 7 (List.length (Dirvec.basics stars));
+        check_vecs "basics" (ref_basics stars) (Dirvec.basics stars);
+        if edges edge_accs (solved stars) <> ref_edges (solved stars) then
+          Alcotest.fail "40-level edges differ");
+    Alcotest.test_case "64 levels, the protocol's limit" `Quick (fun () ->
+        let v =
+          deep ~n:64 Dirvec.[ (0, Star); (31, Ge); (62, Star); (63, Ne) ]
+        in
+        check_vecs "basics" (ref_basics [ v ]) (Dirvec.basics [ v ]);
+        let members = Dirvec.basics [ v ] in
+        let covers members =
+          Dirvec.covers_join (Dirvec.basic_set ~n:64 members) v v
+        in
+        Alcotest.(check bool) "covered" true (covers members);
+        Alcotest.(check bool) "one missing" false (covers (List.tl members)));
+  ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -755,4 +1024,6 @@ let () =
           Alcotest.test_case "analyzer and depgraph agree" `Quick
             test_analyze_depgraph_consistent;
         ] );
+      ( "summary",
+        summary_units @ List.map QCheck_alcotest.to_alcotest summary_props );
     ]

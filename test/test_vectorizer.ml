@@ -176,8 +176,80 @@ let codegen_units =
 
 module Parallel = Dlz_vec.Parallel
 
+(* The loop report as computed from explicit statement-id lists; the
+   report now reads each loop's ids as one range. *)
+let ref_loop_reports (p : Dlz_ir.Ast.program) (g : Depgraph.t) =
+  let counter = ref 0 and loops = ref [] in
+  let rec go path level = function
+    | Dlz_ir.Ast.Assign _ ->
+        let id = !counter in
+        incr counter;
+        [ id ]
+    | Dlz_ir.Ast.Continue _ -> []
+    | Dlz_ir.Ast.Do d ->
+        let inner =
+          List.concat_map (go (path @ [ d.var ]) (level + 1)) d.body
+        in
+        loops := (d.var, level + 1, path, inner) :: !loops;
+        inner
+  in
+  List.iter (fun s -> ignore (go [] 0 s)) p.body;
+  List.rev_map
+    (fun (var, level, path, stmts) ->
+      let carried =
+        List.length
+          (List.filter
+             (fun (e : Depgraph.edge) ->
+               e.e_level = level && List.mem e.e_src stmts
+               && List.mem e.e_dst stmts)
+             g.Depgraph.edges)
+      in
+      (var, level, path, carried))
+    !loops
+
 let parallel_units =
   [
+    Alcotest.test_case "reports match statement lists" `Quick (fun () ->
+        (* Sibling nests share loop names, so an edge can join the
+           statement after a loop to one inside it. *)
+        let siblings =
+          prepare
+            "      REAL A(0:99,0:99)\n\
+            \      DO I = 0, 9\n\
+            \      DO J = 0, 9\n\
+            \      A(I,J) = A(I,J+1)\n\
+            \      ENDDO\n\
+            \      ENDDO\n\
+            \      DO I = 0, 9\n\
+            \      DO J = 0, 9\n\
+            \      A(I,J+2) = 1\n\
+            \      ENDDO\n\
+            \      ENDDO\n\
+            \      END\n"
+        in
+        let kernels =
+          List.map
+            (fun (k : Dlz_corpus.Polybench.kernel) ->
+              Pipeline.prepare_program
+                (Dlz_passes.Pointers.lower
+                   (Dlz_frontend.C_parser.parse
+                      k.Dlz_corpus.Polybench.k_source)))
+            Dlz_corpus.Polybench.kernels
+        in
+        List.iter
+          (fun prog ->
+            let g = Depgraph.build prog in
+            Alcotest.(
+              check (list (pair (pair string int) (pair (list string) int))))
+              "same reports"
+              (List.map
+                 (fun (v, l, p, c) -> ((v, l), (p, c)))
+                 (ref_loop_reports prog g))
+              (List.map
+                 (fun (r : Parallel.loop_report) ->
+                   ((r.lr_var, r.lr_level), (r.lr_path, r.lr_carried)))
+                 (Parallel.of_graph prog g)))
+          (siblings :: kernels));
     Alcotest.test_case "serial vs parallel intro loops" `Quick (fun () ->
         let r1 = Parallel.report (prepare Dlz_driver.Fragments.intro_serial) in
         (match r1 with
